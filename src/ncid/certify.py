@@ -10,7 +10,7 @@ the offending coefficient vector together with its quadratic form value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     NCIDError,
     TruncationExceeded,
 )
+from .ncfunctions import eval_series
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,11 +294,12 @@ def certify(kind: str, data, degree: int, tol: float = DEFAULT_TOL) -> Certifica
     raise NCIDError(f"unknown certificate kind {kind!r}")
 
 
-def _family_from_levy_hincin(
-    kind: str, alpha: np.ndarray, sigma: SigmaForm, truncation: int
-) -> CumulantFamily:
+def family_from_levy_hincin(kind, alpha, sigma, truncation=None) -> CumulantFamily:
+    """Rebuild the cumulant family of the divisible law with data (alpha, sigma)."""
     pair = sigma.pair
-    trunc = min(truncation, sigma.truncation + 2)
+    trunc = sigma.truncation + 2
+    if truncation is not None:
+        trunc = min(truncation, trunc)
     levels = {}
     alpha = np.asarray(alpha, dtype=complex)
     if kind == "free":
@@ -308,13 +310,6 @@ def _family_from_levy_hincin(
         lev = sigma.levels[n - 2]
         levels[n] = pair.embed_tensor(lev) if sigma.values_in == "B" else lev.copy()
     return CumulantFamily(kind=kind, pair=pair, truncation=trunc, levels=levels)
-
-
-def family_from_levy_hincin(kind, alpha, sigma, truncation=None) -> CumulantFamily:
-    """Rebuild the cumulant family of the divisible law with data (alpha, sigma)."""
-    if truncation is None:
-        truncation = sigma.truncation + 2
-    return _family_from_levy_hincin(kind, alpha, sigma, truncation)
 
 
 def levy_hincin_extract(kind: str, data, tol: float = DEFAULT_TOL):
@@ -384,67 +379,18 @@ def levy_hincin_reconstruct(kind: str, alpha, sigma: SigmaForm, point):
 
     point carries strictly upper triangular entries of shape (m, m, k, k);
     the return value is the transform applied entrywise, shape (m, m, d, d).
-    Strictly increasing index paths bound the series length by the nilpotency
-    index, which must not exceed sigma.truncation + 2.
+    The data (alpha, sigma) is rebuilt into its cumulant family, whose series
+    ncfunctions.eval_series sums with the one nilpotent-point path-sum kernel.
+    It raises TruncationExceeded when the point's support has a chain of
+    nonzero blocks longer than sigma.truncation + 2, even where powers of the
+    point cancel earlier.
     """
     entries = np.asarray(getattr(point, "entries", point), dtype=complex)
     if entries.ndim != 4 or entries.shape[0] != entries.shape[1]:
         raise DimensionMismatch("point entries must have shape (m, m, k, k)")
-    m = entries.shape[0]
     pair = sigma.pair
-    k, d = pair.k, pair.d
+    k = pair.k
     if entries.shape[2] != k or entries.shape[3] != k:
         raise DimensionMismatch(f"point entries must be {k} x {k} blocks")
-    index = 0
-    power = entries
-    for r in range(1, m + 1):
-        if np.abs(power).max(initial=0.0) > 0:
-            index = r
-        if r < m:
-            power = np.einsum("ilab,ljbc->ijac", power, entries)
-    if index > sigma.truncation + 2:
-        raise TruncationExceeded(
-            f"nilpotency index {index} exceeds sigma data {sigma.truncation + 2}"
-        )
-    alpha = np.asarray(alpha, dtype=complex)
-    alpha_d = pair.embed(alpha) if alpha.shape == (k, k) else alpha
-    # S[i, l] = sum over strictly increasing paths i -> l of sigma applied to
-    # the edge coefficients; paths of p edges hit sigma level p - 1.
-    svals = np.zeros((m, m, d, d), dtype=complex)
-    flat = entries.reshape(m, m, k * k)
-    contract_cache = {}
-
-    def sigma_of(units_path):
-        key = units_path
-        if key in contract_cache:
-            return contract_cache[key]
-        t = sigma.levels[len(units_path) - 1]
-        for step in units_path:
-            t = np.tensordot(flat[step], t, axes=([0], [0]))
-        contract_cache[key] = t
-        return t
-
-    for i in range(m):
-        for l in range(i + 1, m):
-            total = np.zeros(
-                (sigma.value_dim, sigma.value_dim), dtype=complex
-            )
-            for p in range(1, min(l - i, sigma.truncation + 1) + 1):
-                for mids in _increasing_paths(i, l, p):
-                    steps = tuple(zip((i,) + mids, mids + (l,)))
-                    total = total + sigma_of(steps)
-            svals[i, l] = pair.embed(total) if sigma.values_in == "B" else total
-    out = np.zeros((m, m, d, d), dtype=complex)
-    embedded = pair.embed_tensor(entries)
-    for i in range(m):
-        for j in range(m):
-            acc = alpha_d @ embedded[i, j]
-            for l in range(i + 1, m):
-                acc = acc + svals[i, l] @ embedded[l, j]
-            out[i, j] = acc
-    return out
-
-
-def _increasing_paths(i: int, l: int, p: int):
-    """Interior index tuples i < t_1 < ... < t_{p-1} < l for a p-edge path."""
-    return combinations(range(i + 1, l), p - 1)
+    family = family_from_levy_hincin(kind, alpha, sigma)
+    return eval_series(family.levels, pair, entries, False)

@@ -660,16 +660,7 @@ def fock_basis(model: FockModel, cap: int):
             for t in range(ncomp):
                 keys.extend((t, w) for w in words[j])
         return keys
-    if model.kind == "free":
-        def tensors(budget):
-            yield ()
-            for j in range(1, budget + 1):
-                for t in range(ncomp):
-                    for w in words[j]:
-                        for rest in tensors(budget - j):
-                            yield ((t, w),) + rest
-        return sorted(tensors(cap), key=lambda key: (_h_degree(key), key))
-    keys = [("O",)]
+
     def tensors(budget):
         yield ()
         for j in range(1, budget + 1):
@@ -677,6 +668,10 @@ def fock_basis(model: FockModel, cap: int):
                 for w in words[j]:
                     for rest in tensors(budget - j):
                         yield ((t, w),) + rest
+
+    if model.kind == "free":
+        return sorted(tensors(cap), key=lambda key: (_h_degree(key), key))
+    keys = [("O",)]
     for h in sorted(tensors(cap), key=lambda key: (_h_degree(key), key)):
         keys.append(("D", h))
     for h in sorted(tensors(cap - 1), key=lambda key: (_h_degree(key), key)):

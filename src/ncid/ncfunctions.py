@@ -1,14 +1,18 @@
 """Matricial function transforms on nilpotent arguments.
 
-All transforms are evaluated as terminating series over strictly increasing
-index paths of a strictly upper triangular matrix point, so every value here
-is exact polynomial algebra, no analytic continuation involved.
+A transform with level tensors levels[p] is evaluated at a nilpotent point c
+of M_m(B), strictly upper triangular up to the order of its indices, as the
+terminating series of amplifications id_m tensor levels[p] applied to
+(X c)^p.  One kernel, _path_sum, computes each term by contracting the level
+slot by slot against the point, which sums the word values over all index
+paths of nonzero blocks.  eval_series first checks that the longest chain of
+nonzero blocks fits the stored levels, so every value here is exact
+polynomial algebra, no analytic continuation involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from .cumulants import (
     cfree_from_moments,
     free_from_moments,
 )
-from .distribution import MomentFunctional, contract_units, level_shape
+from .distribution import MomentFunctional, level_shape
 from .errors import (
     DimensionMismatch,
     NCIDError,
@@ -96,13 +100,41 @@ def _point_entries(point, k: int) -> np.ndarray:
     return entries
 
 
+def _path_sum(level: np.ndarray, pair: AlgebraPair, coeff: np.ndarray) -> np.ndarray:
+    """id_m tensor mu applied to (X coeff)^p, as an (m, m, d, d) block matrix.
+
+    level holds the (k2,)*(p-1) + (d, d) values of the words with p letters;
+    block (i, j) sums the value of X coeff[t0, t1] X ... X coeff[t_{p-1}, tp]
+    over all index paths i = t0, t1, ..., tp = j, the trailing edge
+    multiplying on the right through the embedding.  The level's slots are
+    contracted one at a time against the (m, m, k2) point, each as one
+    matrix product, one start row at a time, so no intermediate exceeds
+    m * k2**(p-2) * d**2 entries.  Zero blocks drop their paths: a strict
+    point sums strictly increasing paths, an upper triangular one with unit
+    diagonal the non-decreasing ones.
+    """
+    m = coeff.shape[0]
+    # steps[t, s, u] = entry u of coeff[s, t], so one slot is one matmul
+    steps = coeff.reshape(m, m, -1).transpose(1, 0, 2)
+    embedded = pair.embed_tensor(coeff)
+    out = np.empty((m, m, pair.d, pair.d), dtype=complex)
+    for i in range(m):
+        # t[s, ...]: the level with its leading slots summed over paths i -> s
+        t, rows = level[None], slice(i, i + 1)
+        for _ in range(level.ndim - 2):
+            step = steps[:, rows].reshape(m, -1)
+            t = (step @ t.reshape(step.shape[1], -1)).reshape((m,) + t.shape[2:])
+            rows = slice(None)
+        out[i] = np.einsum("sab,sjbc->jac", t, embedded[rows])
+    return out
+
+
 def eval_series(levels: dict, pair: AlgebraPair, point, include_identity: bool):
-    """Sum of amplified values over strictly increasing index paths.
+    """Sum over p of the path sums of levels[p] at a nilpotent point.
 
     levels[p] holds the (k2,)**(p-1) + (d, d) value tensor of words with p
-    letters; a path i = t0 < t1 < ... < tp = j contributes the value of the
-    word X b[t0, t1] X b[t1, t2] ... X b[t_{p-1}, t_p], the trailing edge
-    multiplying on the right through the embedding.
+    letters; see _path_sum.  Raises TruncationExceeded when the point's
+    support has a chain of nonzero blocks longer than the stored levels.
     """
     entries = _point_entries(point, pair.k)
     m = entries.shape[0]
@@ -123,20 +155,8 @@ def eval_series(levels: dict, pair: AlgebraPair, point, include_identity: bool):
     if include_identity:
         for i in range(m):
             out[i, i] = np.eye(d)
-    embedded = pair.embed_tensor(entries)
-    for i in range(m):
-        for j in range(i + 1, m):
-            acc = np.zeros((d, d), dtype=complex)
-            for p in range(1, min(j - i, max_stored) + 1):
-                for mids in combinations(range(i + 1, j), p - 1):
-                    nodes = (i,) + mids + (j,)
-                    inner = [
-                        entries[nodes[s], nodes[s + 1]] for s in range(p - 1)
-                    ]
-                    acc = acc + contract_units(levels[p], inner) @ embedded[
-                        nodes[p - 1], j
-                    ]
-            out[i, j] = acc
+    for p in range(1, longest + 1):
+        out += _path_sum(levels[p], pair, entries)
     return out
 
 
@@ -167,20 +187,25 @@ def extract_taylor(mu: MomentFunctional, coeffs, transform: str = "M"):
     """Taylor term of a transform along the superdiagonal probe.
 
     With probe coefficients b1, ..., bm the only increasing path through the
-    corner runs along the superdiagonal, so the (0, m) block returns exactly
-    the degree-m term: the moment of X b1 X b2 ... X bm for transform M, the
-    corresponding cumulant value otherwise.
+    corner runs along the superdiagonal, so the (0, m) block of the transform
+    at the probe is exactly the degree-m term: the moment of X b1 X b2 ... X bm
+    for transform M, the corresponding cumulant value otherwise.  That term is
+    returned directly.
     """
-    probe = triangular_probe(coeffs)
+    k = mu.pair.k
+    if any(np.shape(c) != (k, k) for c in coeffs):
+        raise DimensionMismatch(f"probe coefficients must be {k} x {k}")
+    if not 1 <= len(coeffs) <= mu.truncation:
+        raise TruncationExceeded(
+            f"Taylor term of degree {len(coeffs)} outside 1..{mu.truncation}"
+        )
     if transform == "M":
-        val = eval_M(mu, probe)
-    elif transform == "B":
-        val = eval_B(mu, probe)
-    elif transform == "R":
-        val = eval_R(mu, probe)
-    else:
-        raise NCIDError(f"unknown transform {transform!r}")
-    return np.asarray(val[0, probe.m - 1])
+        return mu.eval_word(coeffs)
+    if transform == "B":
+        return boolean_from_moments(mu).evaluate(coeffs)
+    if transform == "R":
+        return free_from_moments(mu).evaluate(coeffs)
+    raise NCIDError(f"unknown transform {transform!r}")
 
 
 def _bprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -320,7 +345,7 @@ def check_cauchy_relation(
         g0 = _flat(ep0, d)
         gs = [g0]
         for s in range(1, order + 1):
-            gs.append(_flat(_bprod(ep0, _amplified_word_values(mu.levels, pair, p0, s)), d))
+            gs.append(_flat(_bprod(ep0, _path_sum(mu.levels[s], pair, p0)), d))
         h0 = np.linalg.inv(g0)
         hs = [h0]
         for r in range(1, order + 1):
@@ -332,7 +357,7 @@ def check_cauchy_relation(
             lhs = -(hs[r] @ g0)
             if r == 0:
                 lhs = lhs + np.eye(m * d)
-            rhs = _flat(_boolean_path_series(bstored, pair, p0, r), d)
+            rhs = _flat(_path_sum(bstored[r], pair, p0), d) if r else np.zeros_like(lhs)
             worst = max(worst, _rel_err(lhs, rhs))
     return {
         "identity": "G",
@@ -347,48 +372,6 @@ def check_cauchy_relation(
 def _flat(blocks: np.ndarray, v: int) -> np.ndarray:
     m = blocks.shape[0]
     return blocks.transpose(0, 2, 1, 3).reshape(m * v, m * v)
-
-
-def _amplified_word_values(levels, pair, coeff: np.ndarray, p: int) -> np.ndarray:
-    """id_m tensor mu applied to (X coeff)^p for upper triangular coeff."""
-    m = coeff.shape[0]
-    d = pair.d
-    out = np.zeros((m, m, d, d), dtype=complex)
-    embedded = pair.embed_tensor(coeff)
-    for i in range(m):
-        for j in range(i, m):
-            acc = np.zeros((d, d), dtype=complex)
-            for nodes in _monotone_paths(i, j, p):
-                inner = [coeff[nodes[s], nodes[s + 1]] for s in range(p - 1)]
-                acc = acc + contract_units(levels[p], inner) @ embedded[
-                    nodes[p - 1], j
-                ]
-            out[i, j] = acc
-    return out
-
-
-def _boolean_path_series(bstored, pair, coeff: np.ndarray, r: int) -> np.ndarray:
-    """Order-r boolean term: values of (X coeff)^r; empty at r = 0."""
-    if r == 0:
-        return np.zeros((coeff.shape[0],) * 2 + (pair.d, pair.d), dtype=complex)
-    return _amplified_word_values(bstored, pair, coeff, r)
-
-
-def _monotone_paths(i: int, j: int, p: int):
-    """Node tuples i = t0 <= t1 <= ... <= tp = j (p edges, non-strict)."""
-    if p == 0:
-        if i == j:
-            yield (i,)
-        return
-    def rec(prefix, remaining):
-        last = prefix[-1]
-        if remaining == 1:
-            if last <= j:
-                yield prefix + (j,)
-            return
-        for t in range(last, j + 1):
-            yield from rec(prefix + (t,), remaining - 1)
-    yield from rec((i,), p)
 
 
 def check_nc_function_axioms(

@@ -187,22 +187,16 @@ def _partition_value(blocks, fn_top, fn_inner, b, pair):
     return val
 
 
-def nc_weights(pi: NCPartition, kind: str, mu, nu, b: np.ndarray, inner: str = "nu"):
+def nc_weights(pi: NCPartition, kind: str, mu, nu, b: np.ndarray):
     """Multiplicative weights f, F, g, G on NC(m).
 
     f uses nu throughout; F evaluates exterior components through mu. g and
     G are the same rules with the free cumulant functional of nu in place
     of nu and the c-free cumulant functional of (mu, nu) in place of mu.
-    ``inner`` selects what fills nesting gaps inside F and G: "nu" (the
-    moment side's nested weights stay nu-based, the printed rule) or
-    "outer" (gaps reuse the exterior functional). The "outer" reading only
-    types when B = D and fails the F = sum G moment identity, so "nu" is
-    the default.
+    Nesting gaps inside F and G are filled by the nu-based inner weights.
     """
     if kind not in ("f", "F", "g", "G"):
         raise NCIDError(f"unknown weight kind {kind!r}")
-    if inner not in ("nu", "outer"):
-        raise NCIDError(f"unknown inner mode {inner!r}")
     m = pi.n
     if m > mu.truncation or m > nu.truncation:
         raise TruncationExceeded(f"NC({m}) weight needs truncation >= {m}")
@@ -212,17 +206,10 @@ def nc_weights(pi: NCPartition, kind: str, mu, nu, b: np.ndarray, inner: str = "
     if kind in ("g", "G"):
         from .cumulants import cfree_from_moments, free_from_moments, functional_of
 
-        rho = functional_of("free", free_from_moments(nu))
-        if kind == "g":
-            top = inn = rho
-        else:
-            top = functional_of("cfree", cfree_from_moments(mu, nu))
-            inn = rho if inner == "nu" else top
+        inn = functional_of("free", free_from_moments(nu))
+        top = inn if kind == "g" else functional_of("cfree", cfree_from_moments(mu, nu))
     else:
-        if kind == "f":
-            top = inn = nu
-        else:
-            top = mu
-            inn = nu if inner == "nu" else mu
+        inn = nu
+        top = nu if kind == "f" else mu
 
     return _partition_value(list(pi.blocks), top, inn, b, pair)

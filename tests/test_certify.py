@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ncid.algebra import matrix_units
+from ncid.algebra import AlgebraPair, matrix_units
 from ncid.certify import (
     Certificate,
     SigmaForm,
@@ -205,6 +205,37 @@ def test_reconstruct_rejects_deep_points(mu22):
     alpha, sigma = levy_hincin_extract("boolean", mu22)
     rng = np.random.default_rng(68)
     point = NilpotentPoint.random(rng, 8, 2, scale=0.5)
+    with pytest.raises(TruncationExceeded):
+        levy_hincin_reconstruct("boolean", alpha, sigma, point)
+
+
+def test_reconstruct_boolean_twisted_embedding():
+    # alpha of the boolean data already lies in D; a k x k alpha must not be
+    # embedded a second time when k = d.
+    theta = 0.7
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    pair = AlgebraPair(2, 2, np.kron(rot, rot.conj()))
+    mu = generate_realizable(69, pair, 6, ambient=4)
+    alpha, sigma = levy_hincin_extract("boolean", mu)
+    rng = np.random.default_rng(70)
+    for m in (2, 3, 4):
+        point = NilpotentPoint.random(rng, m, 2, scale=0.6)
+        got = levy_hincin_reconstruct("boolean", alpha, sigma, point)
+        assert relerr(got, eval_B(mu, point)) < 1e-10
+
+
+def test_reconstruct_rejects_long_support_chains(pair22):
+    # c^2 = 0 here, but the support chain 0 -> 1 -> 2 -> 3 has three edges,
+    # one more than sigma truncation 0 covers.
+    mu = generate_realizable(71, pair22, 2, ambient=4)
+    alpha, sigma = levy_hincin_extract("boolean", mu)
+    assert sigma.truncation == 0
+    entries = np.zeros((4, 4, 2, 2), dtype=complex)
+    for i in range(3):
+        entries[i, i + 1] = [[0, 1], [0, 0]]
+    point = NilpotentPoint.from_entries(entries)
+    with pytest.raises(TruncationExceeded):
+        eval_B(mu, point)
     with pytest.raises(TruncationExceeded):
         levy_hincin_reconstruct("boolean", alpha, sigma, point)
 

@@ -71,13 +71,25 @@ def test_moment_transform_at_zero_is_identity(mu22):
 
 
 def test_moment_transform_superdiagonal_blocks(mu22):
-    beta1, beta2 = rand_coeffs(1, 2, 2)
-    out = eval_M(mu22, triangular_probe([beta1]))
-    assert np.array_equal(out[0, 0], np.eye(2, dtype=complex))
-    assert relerr(out[0, 1], mu22.eval_word([beta1])) < 1e-15
-    out3 = eval_M(mu22, triangular_probe([beta1, beta2]))
-    assert relerr(out3[0, 2], mu22.eval_word([beta1, beta2])) < 1e-15
-    assert np.abs(out3[1, 0]).max() == 0
+    cs = rand_coeffs(1, 2, 4)
+    bool_fam = boolean_from_moments(mu22)
+    free_fam = free_from_moments(mu22)
+    for m in range(1, 5):
+        probe = triangular_probe(cs[:m])
+        out = eval_M(mu22, probe)
+        assert np.array_equal(out[0, 0], np.eye(2, dtype=complex))
+        assert relerr(out[0, m], mu22.eval_word(cs[:m])) < 1e-15
+        assert np.abs(out[1, 0]).max() == 0
+        assert relerr(eval_B(mu22, probe)[0, m], bool_fam.evaluate(cs[:m])) < 1e-15
+        assert relerr(eval_R(mu22, probe)[0, m], free_fam.evaluate(cs[:m])) < 1e-15
+
+
+def test_moment_transform_follows_index_reversal(mu22):
+    # Reversing the index order conjugates the point by a permutation into a
+    # strictly lower triangular, still nilpotent, point; the transform follows.
+    point = NilpotentPoint.random(np.random.default_rng(6), 4, 2, scale=0.7)
+    flipped = eval_M(mu22, point.entries[::-1, ::-1])
+    assert relerr(flipped, eval_M(mu22, point)[::-1, ::-1]) < 1e-13
 
 
 def test_free_transform_small_blocks(mu22):
