@@ -1,5 +1,3 @@
-from __future__ import annotations
-
 """Sweep seeded realizable laws and tabulate divisibility certificates.
 
 For each seed the script generates a realizable moment functional, certifies
@@ -8,6 +6,8 @@ on the law itself.  Boolean roots should always re-certify; free divisibility
 of a generic realizable law usually fails, and the table shows how negative
 the witness eigenvalue gets.
 """
+
+from __future__ import annotations
 
 import argparse
 

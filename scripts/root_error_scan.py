@@ -1,5 +1,3 @@
-from __future__ import annotations
-
 """Scan convolution-root errors against the 1/N prediction.
 
 N times the n-th moment of the N-th root converges to the n-th cumulant with
@@ -7,6 +5,8 @@ an O(1/N) correction, so doubling N should roughly halve the error.  The
 script prints err(N) = max_{n<=orders} |N m_n(root_N) - cum_n| for a geometric
 ladder of N and the ratio between consecutive rows.
 """
+
+from __future__ import annotations
 
 import argparse
 

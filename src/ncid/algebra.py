@@ -54,9 +54,25 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
+def psd_floor(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """Least eigenvalue a Hermitian m may have and still count as PSD.
+
+    The tolerance scales with the data, -tol * max|m|, so a verdict does not
+    depend on the units of m: dilating a law by a small factor shrinks its
+    Gram matrix, and with it the slack its eigenvalues get.
+    """
+    return -tol * cnorm(m)
+
+
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     a = require_hermitian(m, tol)
-    return min_eigenvalue(a) >= -tol * max(1.0, cnorm(a))
+    return min_eigenvalue(a) >= psd_floor(a, tol)
+
+
+def block_matrix(blocks: np.ndarray) -> np.ndarray:
+    """(f, g, v, w) array of blocks as the (f v, g w) matrix they tile."""
+    f, g, v, w = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(f * v, g * w)
 
 
 def unit_index(i: int, j: int, k: int) -> int:

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit
+from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, block_matrix, psd_floor
 from .cumulants import (
     CumulantFamily,
     boolean_from_moments,
@@ -102,36 +102,53 @@ class SigmaForm:
         )
 
 
-def _no_free_term_family(k: int, degree: int):
-    """Monomials u0 X u1 ... u_{j-1} X for j = 1..degree (tuples of units)."""
-    fam = []
-    for j in range(1, degree + 1):
-        fam.extend(product(range(k * k), repeat=j))
-    return fam
+def word_family(k: int, lengths) -> list:
+    """Words (u0, ..., u_{j-1}) of matrix-unit indices, for each length j in
+    lengths in turn and lexicographic within a length.
 
-
-def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
-    f, _, v, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(f * v, f * v)
-
-
-def _word_product_lookup(stored, left, right, k):
-    """phi(m_left^* m_right) for X-ended left-bordered words via one lookup.
-
-    m^* m concatenates through the product of the adjoint first letter of the
-    left word with the first letter of the right word, which is delta-sparse
-    on matrix units.
+    A word labels the monomial u0 X u1 ... u_{j-1} X of a Gram family; a
+    sigma form reads the same letters as its coefficients c0, ..., c_{j-1}.
     """
-    j, l = len(left), len(right)
+    return [w for j in lengths for w in product(range(k * k), repeat=j)]
+
+
+def word_pairing(levels: dict, left: tuple, right: tuple, k: int, shift: int = 0):
+    """Value of (word left)^* (word right), or None where it vanishes.
+
+    The adjoint of left meets right in the middle at u0^* v0 of their first
+    letters, which is the unit e_{b0 b1} when both letters share the row a
+    and zero otherwise.  The product is the stored word with the reversed
+    adjoint tail of left, that middle unit, and the tail of right as its
+    slots, read from level len(left) + len(right) - shift: shift 0 for
+    moments, 2 for sigma forms.  A missing level raises TruncationExceeded.
+    """
     a0, b0 = divmod(left[0], k)
     a1, b1 = divmod(right[0], k)
     if a0 != a1:
         return None
-    mid = b0 * k + b1
-    idx = tuple(adjoint_unit(u, k) for u in reversed(left[1:])) + (mid,) + tuple(
-        right[1:]
-    )
-    return stored[j + l][idx]
+    n = len(left) + len(right) - shift
+    if n not in levels:
+        raise TruncationExceeded(f"pairing needs level {n}, stored up to {max(levels)}")
+    idx = tuple(adjoint_unit(u, k) for u in reversed(left[1:])) + (b0 * k + b1,) + right[1:]
+    return levels[n][idx]
+
+
+def hermitian_gram(blocks: np.ndarray) -> np.ndarray:
+    """Hermitian part of the Gram matrix tiled by (f, f, v, v) pairing blocks."""
+    mat = block_matrix(blocks)
+    return 0.5 * (mat + mat.conj().T)
+
+
+def _word_blocks(levels: dict, words: list, k: int, v: int, shift: int, lead: int = 0):
+    """Pairing blocks of the words, after lead rows and columns left zero."""
+    nf = lead + len(words)
+    blocks = np.zeros((nf, nf, v, v), dtype=complex)
+    for i, wi in enumerate(words, lead):
+        for j, wj in enumerate(words, lead):
+            val = word_pairing(levels, wi, wj, k, shift)
+            if val is not None:
+                blocks[i, j] = val
+    return blocks
 
 
 def gram(phi: MomentFunctional, degree: int, no_free_term: bool = True):
@@ -141,7 +158,7 @@ def gram(phi: MomentFunctional, degree: int, no_free_term: bool = True):
     of unit indices (u0, ..., u_{j-1}) for u0 X u1 ... u_{j-1} X, preceded by
     the bare units of B when the free term is included.
     """
-    k, d = phi.pair.k, phi.pair.d
+    k = phi.pair.k
     if 2 * degree > phi.truncation:
         raise TruncationExceeded(
             f"gram degree {degree} needs moments to order {2 * degree}, "
@@ -149,41 +166,25 @@ def gram(phi: MomentFunctional, degree: int, no_free_term: bool = True):
         )
     if degree < 1:
         raise NCIDError("gram degree must be >= 1")
-    words = _no_free_term_family(k, degree)
-    consts = list(range(k * k)) if not no_free_term else []
-    fam = [("const", u) for u in consts] + [("word", w) for w in words]
-    nf = len(fam)
-    blocks = np.zeros((nf, nf, d, d), dtype=complex)
+    words = word_family(k, range(1, degree + 1))
+    consts = [] if no_free_term else list(range(k * k))
     stored = {n: phi.raw(n) for n in range(1, 2 * degree + 1)}
+    blocks = _word_blocks(stored, words, k, phi.pair.d, 0, len(consts))
     eunits = phi.pair.embedded_units
-    for i, (ti, xi) in enumerate(fam):
-        for j, (tj, xj) in enumerate(fam):
-            if ti == "const" and tj == "const":
-                a0, b0 = divmod(xi, k)
-                a1, b1 = divmod(xj, k)
-                if a0 == a1:
-                    blocks[i, j] = eunits[b0 * k + b1]
-            elif ti == "const":
-                a0, b0 = divmod(xi, k)
-                a1, b1 = divmod(xj[0], k)
-                if a0 == a1:
-                    tail = stored[len(xj)][xj[1:]]
-                    blocks[i, j] = eunits[b0 * k + b1] @ tail
-            elif tj == "const":
-                # phi(m_i^* m_j) = phi(m_j^* m_i)^* by *-compatibility
-                a0, b0 = divmod(xj, k)
-                a1, b1 = divmod(xi[0], k)
-                if a0 == a1:
-                    tail = stored[len(xi)][xi[1:]]
-                    blocks[i, j] = (eunits[b0 * k + b1] @ tail).conj().T
-            else:
-                val = _word_product_lookup(stored, xi, xj, k)
-                if val is not None:
-                    blocks[i, j] = val
-    mat = _blocks_to_matrix(blocks)
-    mat = 0.5 * (mat + mat.conj().T)
-    labels = [x for _, x in fam]
-    return mat, labels
+    for i, u in enumerate(consts):
+        a0, b0 = divmod(u, k)
+        for j, v in enumerate(consts):
+            a1, b1 = divmod(v, k)
+            if a0 == a1:
+                blocks[i, j] = eunits[b0 * k + b1]
+        for j, w in enumerate(words, len(consts)):
+            a1, b1 = divmod(w[0], k)
+            if a0 == a1:
+                # phi(u^* w), and phi(w^* u) = phi(u^* w)^* by *-compatibility
+                val = eunits[b0 * k + b1] @ stored[len(w)][w[1:]]
+                blocks[i, j] = val
+                blocks[j, i] = val.conj().T
+    return hermitian_gram(blocks), consts + words
 
 
 def sigma_gram(sigma: SigmaForm, degree: int):
@@ -194,26 +195,9 @@ def sigma_gram(sigma: SigmaForm, degree: int):
             f"stored {sigma.truncation}"
         )
     k = sigma.pair.k
-    v = sigma.value_dim
-    fam = []
-    for m in range(degree + 1):
-        fam.extend(product(range(k * k), repeat=m + 1))
-    nf = len(fam)
-    blocks = np.zeros((nf, nf, v, v), dtype=complex)
-    for i, wi in enumerate(fam):
-        for j, wj in enumerate(fam):
-            a0, b0 = divmod(wi[0], k)
-            a1, b1 = divmod(wj[0], k)
-            if a0 != a1:
-                continue
-            mid = b0 * k + b1
-            idx = tuple(adjoint_unit(u, k) for u in reversed(wi[1:])) + (mid,) + tuple(
-                wj[1:]
-            )
-            blocks[i, j] = sigma.levels[len(wi) + len(wj) - 2][idx]
-    mat = _blocks_to_matrix(blocks)
-    mat = 0.5 * (mat + mat.conj().T)
-    return mat, fam
+    words = word_family(k, range(1, degree + 2))
+    blocks = _word_blocks(sigma.levels, words, k, sigma.value_dim, 2)
+    return hermitian_gram(blocks), words
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,8 +228,7 @@ class Certificate:
 def _judge(kind, degree, mat, tol) -> Certificate:
     vals, vecs = np.linalg.eigh(mat)
     min_eig = float(vals[0])
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    passed = min_eig >= -tol * scale
+    passed = min_eig >= psd_floor(mat, tol)
     witness = None
     if not passed:
         vec = vecs[:, 0]

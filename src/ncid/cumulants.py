@@ -23,9 +23,14 @@ import numpy as np
 
 from .algebra import AlgebraPair
 from .distribution import MomentFunctional, contract_units, level_shape
-from .errors import DimensionMismatch, NCIDError, PairMismatch
+from .errors import DimensionMismatch, NCIDError, PairMismatch, TooLarge, TruncationExceeded
 
 _KINDS = ("boolean", "free", "cfree")
+
+# einsum subscripts of the free and c-free terms: a, b, c label value axes and
+# these the slots.  Level n needs 2n - 3 of them, which caps the truncation.
+_SLOT_LETTERS = string.ascii_lowercase[3:] + string.ascii_uppercase
+_MAX_LEVEL = (len(_SLOT_LETTERS) + 3) // 2
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -57,6 +62,10 @@ class CumulantFamily:
     def evaluate(self, args) -> np.ndarray:
         """Cumulant of degree len(args) at B-elements, value in D."""
         n = len(args)
+        if not 1 <= n <= self.truncation:
+            raise TruncationExceeded(
+                f"cumulant of degree {n} outside stored range 1..{self.truncation}"
+            )
         core = contract_units(self.levels[n], args[: n - 1])
         return core @ self.pair.embed(args[n - 1])
 
@@ -78,11 +87,6 @@ def functional_of(kind: str, fam: CumulantFamily) -> MomentFunctional:
     if kind != fam.kind:
         raise NCIDError(f"family has kind {fam.kind!r}, requested {kind!r}")
     return MomentFunctional(pair=fam.pair, truncation=fam.truncation, levels=fam.levels)
-
-
-@lru_cache(maxsize=None)
-def _letter_pool():
-    return string.ascii_lowercase
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +128,7 @@ def _tail_block(nu_levels, units, start, n):
 def _free_term(n, pivots, kappa_levels, nu_levels, units, k):
     """One pivot-set term of the free recursion, on stored basis tuples."""
     p = len(pivots)
-    pool = iter(_letter_pool()[3:])
+    pool = iter(_SLOT_LETTERS)
     pos = {i: next(pool) for i in range(1, n)}
     slots = [next(pool) for _ in range(p - 1)]
     operands = []
@@ -166,7 +170,7 @@ def _cfree_term(n, pivots, ck_levels, m_levels, nu_levels, units, eunits, k, d):
     """One pivot-set term of the c-free recursion (moment prefix on the left)."""
     p = len(pivots)
     j1 = pivots[0]
-    pool = iter(_letter_pool()[3:])
+    pool = iter(_SLOT_LETTERS)
     pos = {i: next(pool) for i in range(1, n)}
     slots = [next(pool) for _ in range(p - 1)]
     operands = []
@@ -242,12 +246,21 @@ def moments_from_boolean(fam: CumulantFamily) -> MomentFunctional:
     return MomentFunctional(pair=fam.pair, truncation=fam.truncation, levels=m)
 
 
+def _check_recursion_level(truncation: int) -> None:
+    if truncation > _MAX_LEVEL:
+        raise TooLarge(
+            f"free and c-free recursions stop at truncation {_MAX_LEVEL}, "
+            f"got {truncation}"
+        )
+
+
 def _pullback_levels(nu: MomentFunctional) -> dict:
     return {n: nu.pair.pullback_tensor(nu.raw(n)) for n in range(1, nu.truncation + 1)}
 
 
 def free_from_moments(nu: MomentFunctional) -> CumulantFamily:
     """Free cumulants of a B-valued functional, computed inside B."""
+    _check_recursion_level(nu.truncation)
     pair = nu.pair
     k = pair.k
     units = pair.units
@@ -262,6 +275,7 @@ def free_from_moments(nu: MomentFunctional) -> CumulantFamily:
 def moments_from_free(fam: CumulantFamily) -> MomentFunctional:
     if fam.kind != "free":
         raise NCIDError(f"expected a free family, got {fam.kind!r}")
+    _check_recursion_level(fam.truncation)
     pair = fam.pair
     k = pair.k
     units = pair.units
@@ -280,6 +294,7 @@ def cfree_from_moments(mu: MomentFunctional, nu: MomentFunctional) -> CumulantFa
     pair = mu.pair
     k, d = pair.k, pair.d
     trunc = min(mu.truncation, nu.truncation)
+    _check_recursion_level(trunc)
     units, eunits = pair.units, pair.embedded_units
     nub = _pullback_levels(nu)
     ck = {1: mu.raw(1).copy()}
@@ -296,6 +311,7 @@ def moments_from_cfree(fam: CumulantFamily, nu: MomentFunctional) -> MomentFunct
     pair = fam.pair
     k, d = pair.k, pair.d
     trunc = min(fam.truncation, nu.truncation)
+    _check_recursion_level(trunc)
     units, eunits = pair.units, pair.embedded_units
     nub = _pullback_levels(nu)
     m = {1: fam.levels[1].copy()}

@@ -22,13 +22,19 @@ way the corresponding independence demands.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 from math import sqrt
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, require_hermitian
-from .certify import SigmaForm, gram, sigma_gram
+from .algebra import DEFAULT_TOL, AlgebraPair, block_matrix, psd_floor, require_hermitian
+from .certify import (
+    SigmaForm,
+    gram,
+    hermitian_gram,
+    sigma_gram,
+    word_family,
+    word_pairing,
+)
 from .distribution import MomentFunctional
 from .errors import (
     DepthExceeded,
@@ -84,9 +90,9 @@ def _border(b: np.ndarray, w: tuple, k: int):
 
 
 def _check_gram_psd(mat: np.ndarray, what: str, tol: float = DEFAULT_TOL) -> None:
-    vals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    if vals[0] < -tol * scale:
+    """Gate on a Hermitian Gram matrix from certify.gram or sigma_gram."""
+    vals = np.linalg.eigvalsh(mat)
+    if vals[0] < psd_floor(mat, tol):
         raise GramNotPSD(f"{what} has negative eigenvalue {vals[0]:.3e}")
 
 
@@ -651,21 +657,18 @@ def fock_basis(model: FockModel, cap: int):
     """Deterministic key enumeration up to total degree cap."""
     k = model.pair.k
     ncomp = len(model.components)
-    words = {
-        j: list(product(range(k * k), repeat=j)) for j in range(1, cap + 1)
-    }
     if model.kind == "boolean":
         keys = [()]
         for j in range(1, cap + 1):
             for t in range(ncomp):
-                keys.extend((t, w) for w in words[j])
+                keys.extend((t, w) for w in word_family(k, (j,)))
         return keys
 
     def tensors(budget):
         yield ()
         for j in range(1, budget + 1):
             for t in range(ncomp):
-                for w in words[j]:
+                for w in word_family(k, (j,)):
                     for rest in tensors(budget - j):
                         yield ((t, w),) + rest
 
@@ -678,7 +681,7 @@ def fock_basis(model: FockModel, cap: int):
         hd = _h_degree(h)
         for j in range(1, cap - hd + 1):
             for t in range(ncomp):
-                for w in words[j]:
+                for w in word_family(k, (j,)):
                     keys.append(("K", h, (t, w)))
     return keys
 
@@ -697,15 +700,15 @@ def operator_matrix(model: FockModel, name: str, cap: int, component: int = 0):
     index = {key: i for i, key in enumerate(keys)}
     v = _coord_dim(model)
     n = len(keys)
-    mat = np.zeros((n * v, n * v), dtype=complex)
+    blocks = np.zeros((n, n, v, v), dtype=complex)
     eye = np.eye(v, dtype=complex)
     for j, key in enumerate(keys):
         out = apply_op(model, name, {key: eye}, component, None)
         for okey, block in out.items():
             i = index.get(okey)
             if i is not None:
-                mat[i * v : (i + 1) * v, j * v : (j + 1) * v] = block
-    return mat, keys
+                blocks[i, j] = block
+    return block_matrix(blocks), keys
 
 
 def _free_pairing(model: FockModel, ka: tuple, kb_: tuple) -> np.ndarray:
@@ -720,7 +723,7 @@ def _free_pairing(model: FockModel, ka: tuple, kb_: tuple) -> np.ndarray:
         return np.zeros((k, k), dtype=complex)
     comp = model.components[ta]
     sig = comp["sigma"] if model.kind == "free" else comp["sigma1"]
-    val = _sigma_word_pairing(sig, wa, wb, k)
+    val = word_pairing(sig.levels, wa, wb, k, shift=2)
     if val is None:
         return np.zeros((k, k), dtype=complex)
     out: dict = {}
@@ -729,23 +732,6 @@ def _free_pairing(model: FockModel, ka: tuple, kb_: tuple) -> np.ndarray:
     for key2, c in out.items():
         total = total + _free_pairing(model, ka[1:], key2 if key2 != () else ()) @ c
     return total
-
-
-def _sigma_word_pairing(sig: SigmaForm, wa: tuple, wb: tuple, k: int):
-    """sigma value of (word a)^* (word b) for X-ended left-bordered words."""
-    a0, b0 = divmod(wa[0], k)
-    a1, b1 = divmod(wb[0], k)
-    if a0 != a1:
-        return None
-    m = len(wa) + len(wb) - 2
-    if m > sig.truncation:
-        raise TruncationExceeded(
-            f"pairing needs sigma level {m}, stored {sig.truncation}"
-        )
-    idx = tuple(adjoint_unit(u, k) for u in reversed(wa[1:])) + (
-        b0 * k + b1,
-    ) + tuple(wb[1:])
-    return sig.levels[m][idx]
 
 
 def gram_matrix(model: FockModel, cap: int):
@@ -769,32 +755,15 @@ def gram_matrix(model: FockModel, cap: int):
                     tj, wj = kj
                     if ti != tj:
                         continue
-                    raw = _bool_word_pairing(model.components[ti], wi, wj, pair)
-                    a = _bool_word_moment(model.components[ti], wi, pair)
-                    b = _bool_word_moment(model.components[tj], wj, pair)
-                    blocks[i, j] = raw - a.conj().T @ b
+                    comp = model.components[ti]
+                    raw = word_pairing(comp["levels"], wi, wj, pair.k)
+                    a = _bool_word_moment(comp, wi, pair)
+                    b = _bool_word_moment(comp, wj, pair)
+                    blocks[i, j] = (0.0 if raw is None else raw) - a.conj().T @ b
     elif model.kind == "free":
         for i, ki in enumerate(keys):
             for j, kj in enumerate(keys):
                 blocks[i, j] = _free_pairing(model, ki, kj)
     else:
         raise NCIDError("gram_matrix supports boolean and free models")
-    mat = blocks.transpose(0, 2, 1, 3).reshape(n * v, n * v)
-    return 0.5 * (mat + mat.conj().T), keys
-
-
-def _bool_word_pairing(comp: dict, wa: tuple, wb: tuple, pair: AlgebraPair):
-    k = pair.k
-    a0, b0 = divmod(wa[0], k)
-    a1, b1 = divmod(wb[0], k)
-    if a0 != a1:
-        return np.zeros((pair.d, pair.d), dtype=complex)
-    n = len(wa) + len(wb)
-    if n > comp["trunc"]:
-        raise TruncationExceeded(
-            f"pairing needs moments to degree {n}, stored {comp['trunc']}"
-        )
-    idx = tuple(adjoint_unit(u, k) for u in reversed(wa[1:])) + (
-        b0 * k + b1,
-    ) + tuple(wb[1:])
-    return comp["levels"][n][idx]
+    return hermitian_gram(blocks), keys

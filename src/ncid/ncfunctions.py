@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraPair
+from .algebra import AlgebraPair, block_matrix
 from .cumulants import (
     boolean_from_moments,
     cfree_from_moments,
@@ -134,17 +134,21 @@ def eval_series(levels: dict, pair: AlgebraPair, point, include_identity: bool):
 
     levels[p] holds the (k2,)**(p-1) + (d, d) value tensor of words with p
     letters; see _path_sum.  Raises TruncationExceeded when the point's
-    support has a chain of nonzero blocks longer than the stored levels.
+    support has a chain of nonzero blocks longer than the stored levels, and
+    DimensionMismatch when it has a cycle, so the point is not nilpotent.
     """
     entries = _point_entries(point, pair.k)
     m = entries.shape[0]
     max_stored = max(levels) if levels else 0
     # Longest chain of nonzero blocks decides which series degrees occur;
     # support adjacency has no cancellation, unlike powers of the point.
+    # A chain of m blocks revisits an index: the support has a cycle.
     adj = (np.abs(entries).max(axis=(2, 3)) > 0).astype(float)
     longest, power = 0, adj
     while power.max(initial=0.0) > 0:
         longest += 1
+        if longest == m:
+            raise DimensionMismatch("point is not nilpotent: its nonzero blocks form a cycle")
         power = power @ adj
     if longest > max_stored:
         raise TruncationExceeded(
@@ -342,10 +346,10 @@ def check_cauchy_relation(
             p0 = p0 + power
             power = _bprod(power, c)
         ep0 = pair.embed_tensor(p0)
-        g0 = _flat(ep0, d)
+        g0 = block_matrix(ep0)
         gs = [g0]
         for s in range(1, order + 1):
-            gs.append(_flat(_bprod(ep0, _path_sum(mu.levels[s], pair, p0)), d))
+            gs.append(block_matrix(_bprod(ep0, _path_sum(mu.levels[s], pair, p0))))
         h0 = np.linalg.inv(g0)
         hs = [h0]
         for r in range(1, order + 1):
@@ -357,7 +361,7 @@ def check_cauchy_relation(
             lhs = -(hs[r] @ g0)
             if r == 0:
                 lhs = lhs + np.eye(m * d)
-            rhs = _flat(_path_sum(bstored[r], pair, p0), d) if r else np.zeros_like(lhs)
+            rhs = block_matrix(_path_sum(bstored[r], pair, p0)) if r else np.zeros_like(lhs)
             worst = max(worst, _rel_err(lhs, rhs))
     return {
         "identity": "G",
@@ -367,11 +371,6 @@ def check_cauchy_relation(
         "residual": worst,
         "pass": worst <= tol,
     }
-
-
-def _flat(blocks: np.ndarray, v: int) -> np.ndarray:
-    m = blocks.shape[0]
-    return blocks.transpose(0, 2, 1, 3).reshape(m * v, m * v)
 
 
 def check_nc_function_axioms(
@@ -507,11 +506,9 @@ def tensor_compatibility(
                         small_entries[i * n + r, j * n + s] = blk[
                             r * k : (r + 1) * k, s * k : (s + 1) * k
                         ]
-        got = eval_M(amp, big)
-        flatgot = _flat(got, n * pair.d)
-        want = eval_M(mu, small_entries)
-        flatwant = _regroup(want, m, n, pair.d)
-        worst = max(worst, _rel_err(flatgot, flatwant))
+        got = block_matrix(eval_M(amp, big))
+        want = block_matrix(eval_M(mu, small_entries))
+        worst = max(worst, _rel_err(got, want))
     return {
         "identity": "tensor",
         "order": order,
@@ -520,8 +517,3 @@ def tensor_compatibility(
         "residual": worst,
         "pass": worst <= tol,
     }
-
-
-def _regroup(blocks: np.ndarray, m: int, n: int, d: int) -> np.ndarray:
-    """(mn, mn, d, d) block matrix as a flat (m n d) square matrix."""
-    return blocks.transpose(0, 2, 1, 3).reshape(m * n * d, m * n * d)

@@ -69,11 +69,9 @@ def dumps(obj) -> str:
 
 
 def tensor_to_json(t: np.ndarray):
-    """Nested row-major lists; innermost entries are [re, im] pairs."""
-    a = np.asarray(t, dtype=complex)
-    if a.ndim == 0:
-        return complex(a[()])
-    return [tensor_to_json(a[i]) for i in range(a.shape[0])]
+    """Nested row-major lists of Python complex numbers, which dumps writes
+    as [re, im] pairs; a 0-d tensor gives one number."""
+    return np.asarray(t, dtype=complex).tolist()
 
 
 def _parse_complex(entry) -> complex:

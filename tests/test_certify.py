@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncid.algebra import AlgebraPair, matrix_units
 from ncid.certify import (
@@ -15,13 +17,17 @@ from ncid.certify import (
 )
 from ncid.convolution import root
 from ncid.cumulants import free_from_moments, functional_of
-from ncid.distribution import generate_realizable
+from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
 from ncid.errors import CertificateFailed, NCIDError, TruncationExceeded
 from ncid.ncfunctions import NilpotentPoint, eval_B, eval_R, eval_cR
 
 from conftest import (
+    BERNOULLI_MOMENTS,
+    SEMICIRCLE_MOMENTS,
     divisible_cfree_pair,
     divisible_free,
+    hermitize,
+    rand_b,
     relerr,
 )
 
@@ -251,3 +257,114 @@ def test_roots_recertify(mu22, pair22):
     mu, nv = divisible_cfree_pair(70, pair22)
     cmu, cnu = root("cfree", (mu, nv), 3)
     assert certify("cfree", (cmu, cnu), 3).passed
+
+
+def dilate(mf, lam):
+    """The law of lam X: level n scales by lam**n."""
+    levels = {n: lam**n * mf.raw(n) for n in range(1, mf.truncation + 1)}
+    return MomentFunctional(pair=mf.pair, truncation=mf.truncation, levels=levels)
+
+
+def conjugate(mf, u):
+    """The law of u X u^* for a unitary u in B.
+
+    Its moment of X b1 X ... X is u mu(X (u^* b1 u) X ... X) u^*, so every
+    unit slot is mapped through b -> u^* b u and the value is conjugated.
+    """
+    units = matrix_units(mf.pair.k)
+    # slot map: u^* e_s u = sum_t c[s, t] e_t
+    c = np.stack([(u.conj().T @ e @ u).reshape(-1) for e in units])
+    eu = mf.pair.embed(u)
+    levels = {}
+    for n in range(1, mf.truncation + 1):
+        lev = mf.raw(n)
+        for axis in range(n - 1):
+            lev = np.moveaxis(np.tensordot(c, lev, axes=([1], [axis])), 0, axis)
+        levels[n] = eu @ lev @ eu.conj().T
+    return MomentFunctional(pair=mf.pair, truncation=mf.truncation, levels=levels)
+
+
+def twisted(moments, h):
+    """The M_k-valued law of h (x) s for a scalar law s with these moments:
+    mu(X b1 X ... X) = m_n h b1 h ... h."""
+    units = matrix_units(h.shape[0])
+    chain, levels = h, {}
+    for n, m in enumerate(moments, start=1):
+        levels[n] = m * chain
+        chain = np.einsum("...ab,ubc,cd->...uad", chain, units, h)
+    pair = AlgebraPair.identity(h.shape[0])
+    return MomentFunctional(pair=pair, truncation=len(moments), levels=levels)
+
+
+def test_free_certificate_is_dilation_invariant_for_bernoulli():
+    # The free Gram of Bernoulli dilated by lam is diag(lam^2, -lam^4); a
+    # tolerance floored at 1 let min_eig = -1e-12 pass at lam = 1e-3.
+    for lam in (1.0, 0.1, 0.01, 1e-3):
+        law = dilate(scalar_from_moments(BERNOULLI_MOMENTS), lam)
+        cert = certify("free", law, 2)
+        assert not cert.passed
+        assert abs(cert.min_eig + lam**4) < 1e-9 * lam**4
+
+
+LAWS = ("semicircle", "bernoulli", "realizable")
+
+
+def scalar_or_realizable(name, seed):
+    if name == "realizable":
+        return generate_realizable(seed, AlgebraPair.identity(2), 4, ambient=4)
+    moments = SEMICIRCLE_MOMENTS if name == "semicircle" else BERNOULLI_MOMENTS
+    return scalar_from_moments(moments[:4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(LAWS),
+    st.integers(0, 10**6),
+    st.sampled_from(("boolean", "free")),
+    st.floats(-3.0, 3.0),
+)
+def test_verdict_is_invariant_under_dilation(name, seed, kind, log_lam):
+    mf = scalar_or_realizable(name, seed)
+    want = certify(kind, mf, 2).passed
+    assert certify(kind, dilate(mf, 10.0**log_lam), 2).passed == want
+
+
+def twisted_or_realizable(name, seed):
+    """A law over M_2 that conjugation moves: semicircle and Bernoulli
+    twisted by a Hermitian h of norm 1, or a realizable law."""
+    if name == "realizable":
+        return generate_realizable(seed, AlgebraPair.identity(2), 4, ambient=4)
+    h = hermitize(rand_b(np.random.default_rng(seed), 2))
+    h = h / np.linalg.norm(h, 2)
+    moments = SEMICIRCLE_MOMENTS if name == "semicircle" else BERNOULLI_MOMENTS
+    return twisted(moments[:4], h)
+
+
+def gram_of(kind, mf):
+    if kind == "boolean":
+        return gram(mf, 2, no_free_term=False)[0]
+    return rho_gram(mf, 2)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LAWS), st.integers(0, 10**6), st.sampled_from(("boolean", "free")))
+def test_verdict_is_invariant_under_unitary_conjugation(name, seed, kind):
+    mf = twisted_or_realizable(name, seed)
+    u, _ = np.linalg.qr(rand_b(np.random.default_rng(seed + 1), 2))
+    moved = conjugate(mf, u)
+    assert relerr(moved.raw(2), mf.raw(2)) > 1e-3  # u really moves the law
+    cert, cert_u = certify(kind, mf, 2), certify(kind, moved, 2)
+    assert cert_u.passed == cert.passed
+    # the Gram matrices are unitarily congruent, so the spectrum stays
+    scale = float(np.abs(gram_of(kind, mf)).max())
+    assert abs(cert_u.min_eig - cert.min_eig) < 1e-10 * scale
+
+
+def test_conjugate_matches_direct_evaluation(pair22):
+    mf = generate_realizable(72, pair22, 4, ambient=4)
+    rng = np.random.default_rng(73)
+    u, _ = np.linalg.qr(rand_b(rng, 2))
+    bs = [rand_b(rng, 2) for _ in range(3)]
+    got = conjugate(mf, u).eval_word(bs)
+    moved = [u.conj().T @ b @ u for b in bs[:-1]] + [u.conj().T @ bs[-1]]
+    assert relerr(got, u @ mf.eval_word(moved)) < 1e-12

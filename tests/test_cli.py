@@ -81,6 +81,16 @@ def test_pipeline_gen_cumulants_convolve_root(workdir):
     assert again.stdout == conv.stdout
 
 
+def test_free_cumulants_at_truncation_fourteen(workdir):
+    gen = run_cli("gen", "--trunc", "14", "--seed", "6")
+    assert gen.returncode == 0
+    path = workdir / "trunc14.json"
+    path.write_text(gen.stdout)
+    out = run_cli("cumulants", "--kind", "free", "--in", str(path))
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert json.loads(out.stdout)["truncation"] == 14
+
+
 def test_free_convolve_semicircles(semi_path):
     from ncid.serialize import functional_from_json
 

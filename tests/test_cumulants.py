@@ -5,6 +5,7 @@ import pytest
 
 from ncid.algebra import AlgebraPair
 from ncid.cumulants import (
+    CumulantFamily,
     boolean_from_moments,
     cfree_from_moments,
     free_from_moments,
@@ -14,7 +15,7 @@ from ncid.cumulants import (
     moments_from_free,
 )
 from ncid.distribution import generate_realizable, scalar_from_moments
-from ncid.errors import NCIDError
+from ncid.errors import NCIDError, TooLarge, TruncationExceeded
 from ncid.nclattice import enumerate_nc, full_partition, moebius, nc_weights
 
 from conftest import (
@@ -211,3 +212,34 @@ def test_scaled_family(nu22):
     half = fam.scaled(0.5)
     for n in range(1, 7):
         assert np.allclose(half.levels[n], 0.5 * fam.levels[n])
+
+
+def test_round_trips_past_thirteen_levels():
+    # Level 14 needs 25 einsum slot letters, more than one alphabet holds.
+    pair = AlgebraPair.identity(1)
+    mu = generate_realizable(74, pair, 14, ambient=2)
+    nu = generate_realizable(75, pair, 14, ambient=2)
+    free_back = moments_from_free(free_from_moments(mu))
+    cfree_back = moments_from_cfree(cfree_from_moments(mu, nu), nu)
+    for n in range(1, 15):
+        assert relerr(free_back.raw(n), mu.raw(n)) < 1e-12
+        assert relerr(cfree_back.raw(n), mu.raw(n)) < 1e-12
+
+
+def test_recursions_refuse_truncations_beyond_the_letters():
+    law = scalar_from_moments((0.0, 1.0) * 14)  # truncation 28
+    with pytest.raises(TooLarge):
+        free_from_moments(law)
+    with pytest.raises(TooLarge):
+        cfree_from_moments(law, law)
+    fam = CumulantFamily(kind="free", pair=law.pair, truncation=28, levels=law.levels)
+    with pytest.raises(TooLarge):
+        moments_from_free(fam)
+
+
+def test_evaluate_above_truncation_is_typed(mu22):
+    fam = boolean_from_moments(mu22)
+    eye = np.eye(2)
+    assert fam.evaluate([eye] * 6).shape == (2, 2)
+    with pytest.raises(TruncationExceeded):
+        fam.evaluate([eye] * 7)

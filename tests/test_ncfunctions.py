@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 
+from ncid.certify import levy_hincin_extract, levy_hincin_reconstruct
 from ncid.cumulants import boolean_from_moments, free_from_moments
 from ncid.errors import (
     DimensionMismatch,
@@ -90,6 +93,22 @@ def test_moment_transform_follows_index_reversal(mu22):
     point = NilpotentPoint.random(np.random.default_rng(6), 4, 2, scale=0.7)
     flipped = eval_M(mu22, point.entries[::-1, ::-1])
     assert relerr(flipped, eval_M(mu22, point)[::-1, ::-1]) < 1e-13
+
+
+def test_cyclic_support_is_rejected(semicircle):
+    # Both off-diagonal blocks are 1, so the point squares to the identity:
+    # its support adjacency never vanishes and it is not nilpotent.
+    entries = np.zeros((2, 2, 1, 1), dtype=complex)
+    entries[0, 1] = entries[1, 0] = 1.0
+    alpha, sigma = levy_hincin_extract("boolean", semicircle)
+    for evaluate in (
+        lambda: eval_M(semicircle, entries),
+        lambda: levy_hincin_reconstruct("boolean", alpha, sigma, entries),
+    ):
+        start = perf_counter()
+        with pytest.raises(DimensionMismatch):
+            evaluate()
+        assert perf_counter() - start < 1.0
 
 
 def test_free_transform_small_blocks(mu22):

@@ -76,6 +76,14 @@ def test_moebius_small_values():
     assert moebius(discrete_partition(2), full_partition(2)) == -1
 
 
+def test_moebius_bottom_to_top_is_signed_catalan():
+    """moebius(0_n, 1_n) = (-1)^(n-1) Cat_(n-1), the product formula's value
+    on the whole lattice (Nica-Speicher, Lecture 10)."""
+    for n in range(1, 7):
+        want = (-1) ** (n - 1) * catalan(n - 1)
+        assert moebius(discrete_partition(n), full_partition(n)) == want
+
+
 def test_moebius_inverts_zeta():
     """M Z = I where Z is the order indicator and M the moebius table, n <= 6."""
     for n in range(1, 7):
