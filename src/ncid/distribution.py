@@ -14,7 +14,10 @@ import dataclasses
 import numpy as np
 
 from .algebra import AlgebraPair, adjoint, adjoint_unit, cnorm
-from .errors import DimensionMismatch, SeedExhausted, TruncationExceeded
+from .errors import DimensionMismatch, SeedExhausted, TooLarge, TruncationExceeded
+
+# Most bytes generate_realizable may allocate; it refuses larger requests.
+MAX_GENERATE_BYTES = 2**30
 
 
 def contract_units(tensor: np.ndarray, coeffs) -> np.ndarray:
@@ -110,6 +113,11 @@ class MomentFunctional:
         return worst
 
 
+def _truncated(mu: MomentFunctional, n: int) -> MomentFunctional:
+    """mu cut to its first n levels, sharing their arrays."""
+    return MomentFunctional(mu.pair, n, {j: mu.levels[j] for j in range(1, n + 1)})
+
+
 def moment(mu: MomentFunctional, w: PolynomialWord) -> np.ndarray:
     """Evaluate mu on a bordered word b_0 X b_1 ... X b_n."""
     cs = w.coefficients
@@ -175,6 +183,13 @@ def generate_realizable(seed: int, pair: AlgebraPair, truncation: int, ambient: 
         raise SeedExhausted(
             f"no unital representation of M_{k} on C^{ambient} compatible with d={d}"
         )
+    # Levels, the largest chain, the ambient operators; no array has over 64 axes.
+    k2, top = k * k, min(max(truncation, 1), 64)
+    need = 16 * (d * d * sum(k2**n for n in range(top)) + ambient * d * k2 ** (top - 1)
+                 + 2 * k2 * ambient * ambient)
+    if need > MAX_GENERATE_BYTES:
+        raise TooLarge(f"truncation {truncation}, k={k}, d={d}, ambient={ambient} "
+                       f"needs at least {need} bytes, above {MAX_GENERATE_BYTES}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((ambient, ambient)) + 1j * rng.standard_normal((ambient, ambient))
     a = (g + adjoint(g)) / 2.0

@@ -1,18 +1,20 @@
 """Matricial function transforms on nilpotent arguments.
 
-A transform with level tensors levels[p] is evaluated at a nilpotent point c
-of M_m(B), strictly upper triangular up to the order of its indices, as the
-terminating series of amplifications id_m tensor levels[p] applied to
-(X c)^p.  One kernel, _path_sum, computes each term by contracting the level
-slot by slot against the point, which sums the word values over all index
-paths of nonzero blocks.  eval_series first checks that the longest chain of
-nonzero blocks fits the stored levels, so every value here is exact
-polynomial algebra, no analytic continuation involved.
+At a nilpotent point c of M_m(B), strictly upper triangular up to the order
+of its indices, the longest chain of nonzero blocks bounds every series
+degree, so every value here is exact polynomial algebra.  Two evaluators
+share that support-chain check.  The path-sum series gives M, the
+reconstruction and the identity checks: the terminating sum of id_m tensor
+levels[p] applied to (X c)^p, each term contracted slot by slot by one
+kernel, _path_sum.  The functional equations give B, R and cR from M alone,
+with no cumulant tensors: B = 1 - M^(-1), R(c) = M(b) - 1 and
+cR(c) = (1 - M_mu(b)^(-1)) M_nu(b), where b M_nu(b) = c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,12 +24,12 @@ from .cumulants import (
     cfree_from_moments,
     free_from_moments,
 )
-from .distribution import MomentFunctional, level_shape
+from .distribution import MomentFunctional, _truncated, level_shape
 from .errors import (
     DimensionMismatch,
     NCIDError,
-    NotBValued,
     OrderExceedsTruncation,
+    PairMismatch,
     TruncationExceeded,
 )
 
@@ -129,6 +131,27 @@ def _path_sum(level: np.ndarray, pair: AlgebraPair, coeff: np.ndarray) -> np.nda
     return out
 
 
+def _support_chain(entries: np.ndarray, stored: int) -> int:
+    """Longest chain of nonzero blocks of a point: the highest degree read.
+
+    Support adjacency has no cancellation, unlike powers of the point.
+    Raises TruncationExceeded when the chain is longer than `stored` levels,
+    and DimensionMismatch when the blocks form a cycle (a chain of m blocks
+    revisits an index), so the point is not nilpotent.
+    """
+    m = entries.shape[0]
+    adj = (np.abs(entries).max(axis=(2, 3)) > 0).astype(float)
+    longest, power = 0, adj
+    while power.max(initial=0.0) > 0:
+        longest += 1
+        if longest == m:
+            raise DimensionMismatch("point is not nilpotent: its nonzero blocks form a cycle")
+        power = power @ adj
+    if longest > stored:
+        raise TruncationExceeded(f"series needs {longest} levels, stored {stored}")
+    return longest
+
+
 def eval_series(levels: dict, pair: AlgebraPair, point, include_identity: bool):
     """Sum over p of the path sums of levels[p] at a nilpotent point.
 
@@ -138,28 +161,12 @@ def eval_series(levels: dict, pair: AlgebraPair, point, include_identity: bool):
     DimensionMismatch when it has a cycle, so the point is not nilpotent.
     """
     entries = _point_entries(point, pair.k)
-    m = entries.shape[0]
-    max_stored = max(levels) if levels else 0
-    # Longest chain of nonzero blocks decides which series degrees occur;
-    # support adjacency has no cancellation, unlike powers of the point.
-    # A chain of m blocks revisits an index: the support has a cycle.
-    adj = (np.abs(entries).max(axis=(2, 3)) > 0).astype(float)
-    longest, power = 0, adj
-    while power.max(initial=0.0) > 0:
-        longest += 1
-        if longest == m:
-            raise DimensionMismatch("point is not nilpotent: its nonzero blocks form a cycle")
-        power = power @ adj
-    if longest > max_stored:
-        raise TruncationExceeded(
-            f"series needs {longest} levels, stored {max_stored}"
-        )
-    d = pair.d
+    m, d = entries.shape[0], pair.d
     out = np.zeros((m, m, d, d), dtype=complex)
     if include_identity:
         for i in range(m):
             out[i, i] = np.eye(d)
-    for p in range(1, longest + 1):
+    for p in range(1, _support_chain(entries, max(levels) if levels else 0) + 1):
         out += _path_sum(levels[p], pair, entries)
     return out
 
@@ -169,22 +176,61 @@ def eval_M(mu: MomentFunctional, point):
     return eval_series(mu.levels, mu.pair, point, include_identity=True)
 
 
+def _bprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ilab,ljbc->ijac", a, b)
+
+
+def _one_minus_inverse(blocks: np.ndarray) -> np.ndarray:
+    """1 - M^(-1) for an (m, m, v, v) block matrix M = 1 + N, N nilpotent.
+
+    M^(-1) is the Neumann series of the m - 1 powers of -N by Horner's rule,
+    so blocks that no index path reaches stay exactly zero.
+    """
+    m, _, v, _ = blocks.shape
+    eye = np.eye(m * v)
+    step, inv = eye - block_matrix(blocks), eye
+    for _ in range(m - 1):
+        inv = eye + step @ inv
+    return (eye - inv).reshape(m, v, m, v).transpose(0, 2, 1, 3)
+
+
+def _subordinate(nu: MomentFunctional, point):
+    """b in M_m(B) with b M_nu(b) = c, and M_nu(b) - 1, both inside B.
+
+    The levels the point reads are pulled back into B first (NotBValued).
+    b <- c M_nu(b)^(-1) = c (1 - B_nu(b)) starts right to first order in c
+    and fixes one more order per step; products of more than `longest`
+    factors of c vanish, so longest - 1 steps give the exact b.
+    """
+    entries = _point_entries(point, nu.pair.k)
+    longest = _support_chain(entries, nu.truncation)
+    inner = AlgebraPair.identity(nu.pair.k)
+    levels = {p: nu.pair.pullback_tensor(nu.levels[p]) for p in range(1, longest + 1)}
+    b = entries
+    for _ in range(longest - 1):
+        b = entries - _bprod(entries, _one_minus_inverse(eval_series(levels, inner, b, True)))
+    return b, eval_series(levels, inner, b, False)
+
+
 def eval_B(mu: MomentFunctional, point):
-    return eval_series(
-        boolean_from_moments(mu).levels, mu.pair, point, include_identity=False
-    )
+    """Boolean transform B(c) = 1 - M(c)^(-1), from M - 1 = B M."""
+    return _one_minus_inverse(eval_M(mu, point))
 
 
 def eval_R(nu: MomentFunctional, point):
-    return eval_series(
-        free_from_moments(nu).levels, nu.pair, point, include_identity=False
-    )
+    """Free transform R(c) = M(b) - 1 with b M(b) = c, from M - 1 = R(b M)."""
+    return nu.pair.embed_tensor(_subordinate(nu, point)[1])
 
 
 def eval_cR(mu: MomentFunctional, nu: MomentFunctional, point):
-    return eval_series(
-        cfree_from_moments(mu, nu).levels, mu.pair, point, include_identity=False
-    )
+    """C-free transform cR(c) = (1 - M_mu(b)^(-1)) M_nu(b) with b M_nu(b) = c,
+    from (M_mu - 1) M_nu = M_mu cR(b M_nu)."""
+    if not mu.pair.same_pair(nu.pair):
+        raise PairMismatch("mu and nu live over different algebra pairs")
+    # cut nu so that the point's chain must fit the levels of both laws
+    b, r = _subordinate(_truncated(nu, min(mu.truncation, nu.truncation)), point)
+    bmu = _one_minus_inverse(eval_series(mu.levels, mu.pair, b, True))
+    return bmu + _bprod(bmu, nu.pair.embed_tensor(r))
 
 
 def extract_taylor(mu: MomentFunctional, coeffs, transform: str = "M"):
@@ -206,14 +252,10 @@ def extract_taylor(mu: MomentFunctional, coeffs, transform: str = "M"):
     if transform == "M":
         return mu.eval_word(coeffs)
     if transform == "B":
-        return boolean_from_moments(mu).evaluate(coeffs)
+        return boolean_from_moments(_truncated(mu, len(coeffs))).evaluate(coeffs)
     if transform == "R":
-        return free_from_moments(mu).evaluate(coeffs)
+        return free_from_moments(_truncated(mu, len(coeffs))).evaluate(coeffs)
     raise NCIDError(f"unknown transform {transform!r}")
-
-
-def _bprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ilab,ljbc->ijac", a, b)
 
 
 def _pullback_blocks(pair: AlgebraPair, blocks: np.ndarray, tol: float = 1e-10):
@@ -261,45 +303,33 @@ def check_identity(
         raise OrderExceedsTruncation(
             f"identity check at order {order} exceeds stored truncation"
         )
+    cut = max(order, 1)  # recursion level p reads levels <= p; probes read <= order
     if name == "B":
-        series = boolean_from_moments(mu).levels
+        series = boolean_from_moments(_truncated(mu, cut)).levels
     elif name == "R":
-        series = free_from_moments(mu).levels
+        series = free_from_moments(_truncated(mu, cut)).levels
     else:
         if nu is None:
             raise NCIDError("identity cR needs the second functional")
-        series = cfree_from_moments(mu, nu).levels
+        series = cfree_from_moments(_truncated(mu, cut), _truncated(nu, cut)).levels
     rng = np.random.default_rng(seed)
     m = order + 1
     worst = 0.0
     for _ in range(probes):
         point = NilpotentPoint.random(rng, m, pair.k, scale=0.7)
+        mm = eval_M(mu, point)
+        lhs = mm.copy()
+        for i in range(m):
+            lhs[i, i] = lhs[i, i] - np.eye(pair.d)
         if name == "B":
-            mm = eval_M(mu, point)
-            lhs = mm.copy()
-            for i in range(m):
-                lhs[i, i] = lhs[i, i] - np.eye(pair.d)
             rhs = _bprod(eval_series(series, pair, point, False), mm)
-        elif name == "R":
-            mm = eval_M(mu, point)
-            arg = _bprod(pair.embed_tensor(point.entries), mm)
-            _strict_upper_or_raise(arg)
-            lhs = mm.copy()
-            for i in range(m):
-                lhs[i, i] = lhs[i, i] - np.eye(pair.d)
-            rhs = eval_series(series, pair, _pullback_blocks(pair, arg), False)
         else:
-            mmu = eval_M(mu, point)
-            mnu = eval_M(nu, point)
-            lhs = mmu.copy()
-            for i in range(m):
-                lhs[i, i] = lhs[i, i] - np.eye(pair.d)
-            lhs = _bprod(lhs, mnu)
+            mnu = mm if name == "R" else eval_M(nu, point)
             arg = _bprod(pair.embed_tensor(point.entries), mnu)
             _strict_upper_or_raise(arg)
-            rhs = _bprod(
-                mmu, eval_series(series, pair, _pullback_blocks(pair, arg), False)
-            )
+            rhs = eval_series(series, pair, _pullback_blocks(pair, arg), False)
+            if name == "cR":
+                lhs, rhs = _bprod(lhs, mnu), _bprod(mm, rhs)
         worst = max(worst, _rel_err(lhs, rhs))
     return {
         "identity": name,
@@ -438,43 +468,21 @@ def amplify_functional(mu: MomentFunctional, n: int, truncation: int) -> MomentF
         raise TruncationExceeded(
             f"amplification to degree {truncation} exceeds stored {mu.truncation}"
         )
-    embed = np.zeros((nd * nd, nk * nk), dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            for a in range(k):
-                for b in range(k):
-                    col = (r * k + a) * nk + (s * k + b)
-                    big = np.zeros((nd, nd), dtype=complex)
-                    big[
-                        r * d : (r + 1) * d, s * d : (s + 1) * d
-                    ] = pair.embedded_units[a * k + b]
-                    embed[:, col] = big.reshape(-1)
+    eye = np.eye(n)
+    # row (r, i, s, j), column (r, a, s, b): unit (a, b) of B embedded at block (r, s)
+    embed = np.einsum(
+        "Rr,Ss,ijab->RiSjrasb", eye, eye, pair.embed_matrix.reshape(d, d, k, k)
+    ).reshape(nd * nd, nk * nk)
     big_pair = AlgebraPair(k=nk, d=nd, embed_matrix=embed)
     levels = {}
     for p in range(1, truncation + 1):
-        shape = level_shape(nk, nd, p)
-        lev = np.zeros(shape, dtype=complex)
-        base = mu.levels[p]
-        for units in np.ndindex(*(nk * nk,) * (p - 1)):
-            parts = [divmod(u, nk) for u in units]
-            rs = [(idx[0] // k, idx[1] // k) for idx in parts]
-            ab = [(idx[0] % k) * k + (idx[1] % k) for idx in parts]
-            ok = all(rs[t][1] == rs[t + 1][0] for t in range(len(rs) - 1))
-            if not ok:
-                continue
-            small = base[tuple(ab)] if p > 1 else base
-            r0 = rs[0][0] if rs else None
-            s_last = rs[-1][1] if rs else None
-            block = np.zeros((nd, nd), dtype=complex)
-            if rs:
-                block[
-                    r0 * d : (r0 + 1) * d, s_last * d : (s_last + 1) * d
-                ] = small
-            else:
-                for r in range(n):
-                    block[r * d : (r + 1) * d, r * d : (r + 1) * d] = small
-            lev[units] = block
-        levels[p] = lev
+        # Slot t holds the unit (r_t, a_t; s_t, b_t).  chain[r_1, s_1, ...,
+        # r_(p-1), s_(p-1), r, s] is true when the M_n legs chain from
+        # r = r_1 through s_t = r_(t+1) to s = s_(p-1); at p = 1 when r = s.
+        chain = reduce(np.multiply.outer, [eye.astype(bool)] * p)
+        chain = np.moveaxis(chain, 0, 2 * p - 2).reshape((n, 1, n, 1) * p)
+        base = mu.levels[p].reshape((1, k, 1, k) * (p - 1) + (1, d, 1, d))
+        levels[p] = np.where(chain, base, 0).reshape(level_shape(nk, nd, p))
     return MomentFunctional(pair=big_pair, truncation=truncation, levels=levels)
 
 
@@ -497,15 +505,8 @@ def tensor_compatibility(
     worst = 0.0
     for _ in range(probes):
         big = NilpotentPoint.random(rng, m, n * k, scale=0.6)
-        small_entries = np.zeros((m * n, m * n, k, k), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                blk = big.entries[i, j]
-                for r in range(n):
-                    for s in range(n):
-                        small_entries[i * n + r, j * n + s] = blk[
-                            r * k : (r + 1) * k, s * k : (s + 1) * k
-                        ]
+        small_entries = big.entries.reshape(m, m, n, k, n, k).transpose(0, 2, 1, 4, 3, 5)
+        small_entries = small_entries.reshape(m * n, m * n, k, k)
         got = block_matrix(eval_M(amp, big))
         want = block_matrix(eval_M(mu, small_entries))
         worst = max(worst, _rel_err(got, want))

@@ -206,7 +206,9 @@ def nc_weights(pi: NCPartition, kind: str, mu, nu, b: np.ndarray):
 
     if kind in ("g", "G"):
         from .cumulants import cfree_from_moments, free_from_moments, functional_of
+        from .distribution import _truncated
 
+        mu, nu = _truncated(mu, m), _truncated(nu, m)  # weights read degrees <= m
         inn = functional_of("free", free_from_moments(nu))
         top = inn if kind == "g" else functional_of("cfree", cfree_from_moments(mu, nu))
     else:

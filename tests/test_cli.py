@@ -56,6 +56,13 @@ def test_gen_rejects_bad_dimensions():
     assert err["type"] == "UsageError"
 
 
+def test_gen_refuses_oversized_truncation():
+    out = run_cli("gen", "--k", "2", "--d", "2", "--trunc", "30")
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["error"]["type"] == "TooLarge"
+    assert out.stderr == ""
+
+
 def test_pipeline_gen_cumulants_convolve_root(workdir):
     gen = run_cli("gen", "--k", "1", "--d", "2", "--trunc", "6", "--seed", "5")
     assert gen.returncode == 0

@@ -16,7 +16,7 @@ from ncid.distribution import (
     moment,
     scalar_from_moments,
 )
-from ncid.errors import DimensionMismatch, SeedExhausted, TruncationExceeded
+from ncid.errors import DimensionMismatch, SeedExhausted, TooLarge, TruncationExceeded
 
 from conftest import SEMICIRCLE_MOMENTS, rand_b, relerr
 
@@ -81,6 +81,17 @@ def test_generate_realizable_gram_psd_matrix(pair24):
 def test_seed_exhausted_on_impossible_ambient(pair22):
     with pytest.raises(SeedExhausted):
         generate_realizable(0, pair22, 4, ambient=3)
+
+
+@pytest.mark.parametrize(
+    "truncation, ambient",
+    [(13, 4), (30, 4), (10**9, 4), (4, 10**5)],
+)
+def test_generate_refuses_oversized_requests(pair22, truncation, ambient):
+    # Each request is refused from its sizes alone, before any allocation:
+    # truncation 13 at k = d = 2 needs 3.6 GB, the others far more.
+    with pytest.raises(TooLarge):
+        generate_realizable(0, pair22, truncation, ambient)
 
 
 def test_eval_word_is_multilinear(mu22):

@@ -5,13 +5,17 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+import ncid.ncfunctions
+from ncid.algebra import AlgebraPair
 from ncid.certify import levy_hincin_extract, levy_hincin_reconstruct
-from ncid.cumulants import boolean_from_moments, free_from_moments
+from ncid.cumulants import boolean_from_moments, cfree_from_moments, free_from_moments
+from ncid.distribution import MomentFunctional, generate_realizable
 from ncid.errors import (
     DimensionMismatch,
     NCIDError,
     NotBValued,
     OrderExceedsTruncation,
+    PairMismatch,
     TruncationExceeded,
 )
 from ncid.ncfunctions import (
@@ -21,14 +25,16 @@ from ncid.ncfunctions import (
     check_identity,
     check_nc_function_axioms,
     eval_B,
+    eval_cR,
     eval_M,
     eval_R,
+    eval_series,
     extract_taylor,
     tensor_compatibility,
     triangular_probe,
 )
 
-from conftest import relerr
+from conftest import bvalued_realizable, relerr
 
 
 def rand_coeffs(seed: int, k: int, n: int) -> list:
@@ -220,3 +226,128 @@ def test_tensor_compatibility(semicircle, mu22):
     res = tensor_compatibility(mu22, 2, order=3, probes=5)
     assert res["pass"], res
     assert res["residual"] <= 1e-10
+
+
+def _cut(mu, n):
+    return MomentFunctional(
+        pair=mu.pair, truncation=n, levels={j: mu.levels[j] for j in range(1, n + 1)}
+    )
+
+
+@pytest.fixture(scope="module")
+def law_k1():
+    """A k = d = 1 law at truncation 12, as the point benchmark uses."""
+    return generate_realizable(11, AlgebraPair.identity(1), 12, ambient=2)
+
+
+# (k, d, truncation, point sizes): the k = 1 law reads all 12 levels at m = 12;
+# d = 4 > k sends R and cR through the pullback into B and back.
+ORACLE_CASES = {
+    "k1": (1, 1, 12, (2, 7, 12)),
+    "k2": (2, 2, 6, (3, 5, 7)),
+    "k2d4": (2, 4, 5, (4, 6)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
+def oracle_case(request):
+    """A law, a B-valued law, and the recursion families of the pair."""
+    k, d, trunc, sizes = ORACLE_CASES[request.param]
+    pair = AlgebraPair.identity(k) if k == d else AlgebraPair.block_diagonal(k, d)
+    mu = generate_realizable(21, pair, trunc, ambient=2 * d)
+    nu = bvalued_realizable(22, pair, trunc)
+    families = {
+        "B": boolean_from_moments(mu),
+        "R": free_from_moments(nu),
+        "cR": cfree_from_moments(mu, nu),
+    }
+    return mu, nu, families, sizes
+
+
+def test_transforms_match_recursion_series(oracle_case):
+    # The functional-equation evaluator against the path-sum series of the
+    # recursion families, at strictly upper points and their index reversals.
+    mu, nu, families, sizes = oracle_case
+    evaluators = {
+        "B": lambda e: eval_B(mu, e),
+        "R": lambda e: eval_R(nu, e),
+        "cR": lambda e: eval_cR(mu, nu, e),
+    }
+    for m in sizes:
+        point = NilpotentPoint.random(np.random.default_rng(m), m, mu.pair.k, scale=0.7)
+        for entries in (point.entries, point.entries[::-1, ::-1]):
+            for name, evaluate in evaluators.items():
+                want = eval_series(families[name].levels, mu.pair, entries, False)
+                got = evaluate(entries)
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err < 1e-13, (name, m, err)
+
+
+def test_transforms_build_no_cumulant_tensors(monkeypatch, mu22, nu22):
+    def refuse(*args):
+        raise AssertionError("cumulant recursion called")
+
+    for name in ("boolean_from_moments", "free_from_moments", "cfree_from_moments"):
+        monkeypatch.setattr(ncid.ncfunctions, name, refuse)
+    point = NilpotentPoint.random(np.random.default_rng(3), 5, 2, scale=0.7)
+    for value in (eval_B(mu22, point), eval_R(nu22, point), eval_cR(mu22, nu22, point)):
+        assert value.shape == (5, 5, 2, 2)
+
+
+def test_transform_errors(mu22, nu22, mu24, pair24):
+    evaluators = (
+        lambda e: eval_B(mu22, e),
+        lambda e: eval_R(nu22, e),
+        lambda e: eval_cR(mu22, nu22, e),
+    )
+    cyclic = np.zeros((2, 2, 2, 2), dtype=complex)
+    cyclic[0, 1] = cyclic[1, 0] = np.eye(2)
+    too_long = triangular_probe(rand_coeffs(5, 2, 7))
+    for evaluate in evaluators:
+        with pytest.raises(DimensionMismatch):
+            evaluate(cyclic)
+        with pytest.raises(TruncationExceeded):
+            evaluate(too_long)
+    probe = triangular_probe(rand_coeffs(3, 2, 2))
+    nu24 = bvalued_realizable(4, pair24)
+    with pytest.raises(NotBValued):
+        eval_R(mu24, probe)
+    with pytest.raises(NotBValued):
+        eval_cR(mu24, mu24, probe)
+    assert eval_cR(mu24, nu24, probe).shape == (3, 3, 4, 4)
+    with pytest.raises(PairMismatch):
+        eval_cR(mu22, nu24, probe)
+
+
+def test_identity_reports_read_only_order_levels(law_k1):
+    nu = generate_realizable(12, AlgebraPair.identity(1), 12, ambient=2)
+    for name in ("B", "R", "cR"):
+        full = check_identity(name, law_k1, nu, order=4, probes=10)
+        cut = check_identity(name, _cut(law_k1, 4), _cut(nu, 4), order=4, probes=10)
+        assert full == cut
+
+
+def _amplified_level_by_loop(mu, n, p):
+    """Level p of id_n tensor mu, one unit tuple at a time."""
+    k, d = mu.pair.k, mu.pair.d
+    nk, nd = n * k, n * d
+    lev = np.zeros((nk * nk,) * (p - 1) + (nd, nd), dtype=complex)
+    for units in np.ndindex(*(nk * nk,) * (p - 1)):
+        rows = [divmod(u, nk) for u in units]
+        legs = [(r // k, s // k) for r, s in rows]
+        if any(legs[t][1] != legs[t + 1][0] for t in range(len(legs) - 1)):
+            continue
+        small = mu.levels[p][tuple((r % k) * k + s % k for r, s in rows)]
+        starts = [legs[0][0]] if legs else range(n)
+        for r0 in starts:
+            s_last = legs[-1][1] if legs else r0
+            lev[units][r0 * d : (r0 + 1) * d, s_last * d : (s_last + 1) * d] = small
+    return lev
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_amplification_matches_unit_by_unit_loop(semicircle, mu22, mu24, n):
+    for mu in (semicircle, mu22, mu24):
+        amp = amplify_functional(mu, n, 4)
+        for p in range(1, 5):
+            assert np.array_equal(amp.levels[p], _amplified_level_by_loop(mu, n, p))
