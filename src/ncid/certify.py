@@ -226,12 +226,11 @@ class Certificate:
 
 
 def _judge(kind, degree, mat, tol) -> Certificate:
-    vals, vecs = np.linalg.eigh(mat)
-    min_eig = float(vals[0])
+    min_eig = float(np.linalg.eigvalsh(mat)[0])
     passed = min_eig >= psd_floor(mat, tol)
     witness = None
     if not passed:
-        vec = vecs[:, 0]
+        vec = np.linalg.eigh(mat)[1][:, 0]  # the eigenvectors only for the witness
         form = float(np.real(vec.conj() @ mat @ vec))
         witness = {"coeffs": [complex(c) for c in vec], "quadratic_form": form}
     return Certificate(

@@ -18,6 +18,8 @@ from .errors import DimensionMismatch, SeedExhausted, TooLarge, TruncationExceed
 
 # Most bytes generate_realizable may allocate; it refuses larger requests.
 MAX_GENERATE_BYTES = 2**30
+# Largest truncation whose einsum calls fit numpy's 64 subscripts (N + 2 at truncation N).
+MAX_GENERATE_TRUNCATION = 62
 
 
 def contract_units(tensor: np.ndarray, coeffs) -> np.ndarray:
@@ -183,8 +185,10 @@ def generate_realizable(seed: int, pair: AlgebraPair, truncation: int, ambient: 
         raise SeedExhausted(
             f"no unital representation of M_{k} on C^{ambient} compatible with d={d}"
         )
-    # Levels, the largest chain, the ambient operators; no array has over 64 axes.
-    k2, top = k * k, min(max(truncation, 1), 64)
+    if truncation > MAX_GENERATE_TRUNCATION:
+        raise TooLarge(f"truncation {truncation} is above {MAX_GENERATE_TRUNCATION}, the einsum limit")
+    # Levels, the largest chain, the ambient operators.
+    k2, top = k * k, max(truncation, 1)
     need = 16 * (d * d * sum(k2**n for n in range(top)) + ambient * d * k2 ** (top - 1)
                  + 2 * k2 * ambient * ambient)
     if need > MAX_GENERATE_BYTES:

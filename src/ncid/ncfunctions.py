@@ -281,6 +281,12 @@ def _rel_err(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.abs(lhs - rhs).max(initial=0.0)) / scale
 
 
+def _require_order(order: int) -> None:
+    """Checks probe points of size order + 1, which are zero below order 1."""
+    if order < 1:
+        raise DimensionMismatch(f"check order must be >= 1, got {order}")
+
+
 def check_identity(
     name: str,
     mu: MomentFunctional,
@@ -298,20 +304,21 @@ def check_identity(
     """
     if name not in ("B", "R", "cR"):
         raise NCIDError(f"unknown identity {name!r}")
+    _require_order(order)
     pair = mu.pair
     if order > mu.truncation or (nu is not None and order > nu.truncation):
         raise OrderExceedsTruncation(
             f"identity check at order {order} exceeds stored truncation"
         )
-    cut = max(order, 1)  # recursion level p reads levels <= p; probes read <= order
+    # recursion level p reads levels <= p; probes read <= order
     if name == "B":
-        series = boolean_from_moments(_truncated(mu, cut)).levels
+        series = boolean_from_moments(_truncated(mu, order)).levels
     elif name == "R":
-        series = free_from_moments(_truncated(mu, cut)).levels
+        series = free_from_moments(_truncated(mu, order)).levels
     else:
         if nu is None:
             raise NCIDError("identity cR needs the second functional")
-        series = cfree_from_moments(_truncated(mu, cut), _truncated(nu, cut)).levels
+        series = cfree_from_moments(_truncated(mu, order), _truncated(nu, order)).levels
     rng = np.random.default_rng(seed)
     m = order + 1
     worst = 0.0
@@ -355,6 +362,7 @@ def check_cauchy_relation(
     sum_r t^{r-1} H_r.  The boolean transform relation gives, order by
     order, delta_{r0} 1 - H_r G_0 = [B-series of (X (1-c)^{-1})^r].
     """
+    _require_order(order)
     if order > mu.truncation:
         raise OrderExceedsTruncation(
             f"relation check at order {order} exceeds truncation {mu.truncation}"
@@ -415,6 +423,7 @@ def check_nc_function_axioms(
     Similarities use unipotent upper triangular scalar matrices, which keep
     strictly upper arguments strictly upper.
     """
+    _require_order(order)
     pair = mu.pair
     k, d = pair.k, pair.d
     rng = np.random.default_rng(seed)
@@ -497,6 +506,7 @@ def tensor_compatibility(
     """Amplification compatibility: evaluating the transform of the
     n-amplified functional at m x m points agrees with evaluating the
     original transform at the regrouped (mn) x (mn) point."""
+    _require_order(order)
     pair = mu.pair
     k = pair.k
     amp = amplify_functional(mu, n, order)

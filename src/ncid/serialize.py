@@ -3,6 +3,8 @@
 Every float is rendered with repr-faithful '%.17g' formatting and complex
 numbers as two-element [re, im] arrays, so identical data always produces
 byte-identical output regardless of platform or dict ordering history.
+Every tensor entry is written as an [re, im] pair; on input a plain number
+is accepted too, and entries that are not finite floats are rejected.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ def _emit(obj, out: list) -> None:
                 out.append(",")
             _emit(val, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray):  # a tensor: one '%' over a template of its shape
+        a = np.asarray(obj, dtype=complex)
+        if not np.isfinite(a).all():
+            raise NCIDError("cannot serialize non-finite float")
+        text = "[%.17g,%.17g]"
+        for n in reversed(a.shape):
+            text = "[" + ",".join([text] * n) + "]"
+        parts = np.ascontiguousarray(a).reshape(-1).view(float) + 0.0  # -0.0 becomes 0.0
+        out.append(text % tuple(parts.tolist()))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, bool):
@@ -68,10 +79,10 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-def tensor_to_json(t: np.ndarray):
-    """Nested row-major lists of Python complex numbers, which dumps writes
-    as [re, im] pairs; a 0-d tensor gives one number."""
-    return np.asarray(t, dtype=complex).tolist()
+def tensor_to_json(t: np.ndarray) -> np.ndarray:
+    """The tensor as a complex array, which dumps writes as nested
+    row-major lists of [re, im] pairs; a 0-d tensor gives one pair."""
+    return np.asarray(t, dtype=complex)
 
 
 def _parse_complex(entry) -> complex:
@@ -87,6 +98,16 @@ def _parse_complex(entry) -> complex:
 
 
 def tensor_from_json(data, shape) -> np.ndarray:
+    """The complex tensor of that shape; entries are [re, im] pairs or numbers."""
+    try:
+        arr = np.array(data)
+    except ValueError:
+        arr = None  # ragged or mixed entries: the walk below sorts them out
+    if arr is not None and arr.dtype.kind in "bif" and np.isfinite(arr).all():
+        if arr.shape == tuple(shape) + (2,):
+            return np.ascontiguousarray(arr, dtype=float).view(complex).reshape(shape)
+        if arr.shape == tuple(shape):
+            return arr.astype(complex)
     out = np.zeros(shape, dtype=complex)
     def fill(node, idx):
         depth = len(idx)
@@ -99,7 +120,12 @@ def tensor_from_json(data, shape) -> np.ndarray:
             )
         for i, sub in enumerate(node):
             fill(sub, idx + (i,))
-    fill(data, ())
+    try:
+        fill(data, ())
+    except OverflowError as exc:  # an integer beyond float range
+        raise DimensionMismatch(f"tensor entry out of float range: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise DimensionMismatch("tensor entries must be finite numbers")
     return out
 
 
@@ -198,7 +224,7 @@ def load_path(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise NCIDError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, a >4300-digit integer, deep nesting
         raise NCIDError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise NCIDError(f"{path} must contain a JSON object")

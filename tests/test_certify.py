@@ -127,6 +127,22 @@ def test_free_certificate_semicircle_and_bernoulli(semicircle, bernoulli):
     assert bad.witness["quadratic_form"] < -0.5
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_failed_verdict_eigenvalue_matches_its_witness(seed):
+    # min_eig comes from the eigenvalues alone, the witness from the
+    # eigenvectors of the same Gram; both must describe one eigenpair.
+    mu = generate_realizable(seed, AlgebraPair.identity(2), 6, 4)
+    mat, _ = rho_gram(mu, 3)
+    cert = certify("free", mu, 3)
+    assert not cert.passed
+    assert cert.min_eig == float(np.linalg.eigvalsh(mat)[0])
+    coeffs = np.asarray(cert.witness["coeffs"])
+    assert abs(np.linalg.norm(coeffs) - 1.0) < 1e-12
+    scale = np.abs(mat).max()
+    assert abs(cert.witness["quadratic_form"] - cert.min_eig) <= 1e-12 * scale
+    assert np.abs(mat @ coeffs - cert.min_eig * coeffs).max() <= 1e-10 * scale
+
+
 def test_cfree_certificate_on_divisible_pair(pair22):
     mu, nu = divisible_cfree_pair(61, pair22)
     cert = certify("cfree", (mu, nu), 3)

@@ -63,6 +63,13 @@ def test_gen_refuses_oversized_truncation():
     assert out.stderr == ""
 
 
+def test_gen_refuses_truncation_past_the_einsum_limit():
+    out = run_cli("gen", "--k", "1", "--trunc", "70")
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["error"]["type"] == "TooLarge"
+    assert out.stderr == ""
+
+
 def test_pipeline_gen_cumulants_convolve_root(workdir):
     gen = run_cli("gen", "--k", "1", "--d", "2", "--trunc", "6", "--seed", "5")
     assert gen.returncode == 0
@@ -133,6 +140,15 @@ def test_check_identities_pass(semi_path):
         assert report["pass"] is True
 
 
+@pytest.mark.parametrize("identity", ["B", "R", "cR", "G", "axioms", "tensor"])
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_check_refuses_orders_below_one(semi_path, identity, order):
+    out = run_cli("check", "--identity", identity, "--order", order, semi_path, "--aux", semi_path)
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["error"]["type"] == "DimensionMismatch"
+    assert out.stderr == ""
+
+
 def test_check_cfree_needs_aux(semi_path):
     out = run_cli("check", "--identity", "cR", semi_path)
     assert out.returncode == 1
@@ -190,6 +206,28 @@ def test_missing_file_reports_error():
     assert out.returncode == 1
     err = json.loads(out.stdout)["error"]
     assert "type" in err and "message" in err
+
+
+@pytest.mark.parametrize(
+    "entry, error",
+    [
+        ("1" * 400, "DimensionMismatch"),  # an integer beyond float range
+        ("[NaN,0]", "DimensionMismatch"),
+        ("[0,Infinity]", "DimensionMismatch"),
+        ("-Infinity", "DimensionMismatch"),
+        ("1e400", "DimensionMismatch"),  # parses as inf
+        ("1" * 5000, "NCIDError"),  # json refuses integers over 4300 digits
+    ],
+)
+def test_load_rejects_bad_numbers(workdir, entry, error):
+    path = workdir / "bad_number.json"
+    path.write_text(
+        '{"k":1,"d":1,"embed":[[[1,0]]],"truncation":1,"moments":{"1":[[%s]]}}' % entry
+    )
+    out = run_cli("cumulants", "--kind", "boolean", "--in", str(path))
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["error"]["type"] == error
+    assert out.stderr == ""
 
 
 def test_thread_cap_env(semi_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ncid.algebra import AlgebraPair, matrix_units
 from ncid.certify import gram
 from ncid.distribution import (
+    MAX_GENERATE_TRUNCATION,
     PolynomialWord,
     contract_units,
     eval_linear,
@@ -157,3 +158,14 @@ def test_realizable_moments_growth_envelope(seed):
     bound = max(2.0, 2.0 * base)
     for n in range(1, 7):
         assert float(np.abs(mf.raw(n)).max()) <= bound ** (n + 1)
+
+
+def test_generate_truncation_stops_at_the_einsum_limit():
+    # k = 1 levels hold one entry each, so only the einsum subscript count
+    # limits the truncation; one step past it is refused before computing.
+    pair = AlgebraPair.identity(1)
+    top = MAX_GENERATE_TRUNCATION
+    mf = generate_realizable(0, pair, top, 2)
+    assert mf.levels[top].shape == level_shape(1, 1, top)
+    with pytest.raises(TooLarge):
+        generate_realizable(0, pair, top + 1, 2)

@@ -1,6 +1,7 @@
 """Smoke runs of the command-line scripts in scripts/."""
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -39,11 +40,31 @@ def test_root_error_scan_smoke():
     assert "free root of the standard semicircle" in out.stdout
 
 
+def test_cli_digest_smoke():
+    from ncid.algebra import AlgebraPair
+    from ncid.distribution import generate_realizable
+    from ncid.serialize import dumps, functional_to_json
+
+    out = run_script(
+        "cli_digest.py", "--k", "1", "--d", "1", "--trunc", "4",
+        "--pairs", "3", "4", "--orders", "2", "--selftest", "0",
+    )
+    assert out.returncode == 0, out.stderr
+    lines = [line.split(" ", 2) for line in out.stdout.splitlines()]
+    assert len(lines) == 8 + 6 + 1  # the chain, six identities, one selftest
+    assert all(len(digest) == 64 and code in ("0", "1", "2") for digest, code, _ in lines)
+    law = generate_realizable(3, AlgebraPair.identity(1), 4, 2)
+    text = dumps(functional_to_json(law)) + "\n"
+    assert lines[0] == [hashlib.sha256(text.encode()).hexdigest(), "0", "seeds 3 4: gen a"]
+    assert lines[-1][1:] == ["0", "selftest seed 0"]
+
+
 @pytest.mark.parametrize(
     "name,summary",
     [
         ("divisibility_sweep.py", "Sweep seeded realizable laws"),
         ("root_error_scan.py", "Scan convolution-root errors"),
+        ("cli_digest.py", "Print one sha256 per CLI output"),
     ],
 )
 def test_script_help_shows_the_docstring(name, summary):

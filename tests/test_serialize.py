@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ncid.algebra import AlgebraPair
 from ncid.certify import SigmaForm
 from ncid.cumulants import free_from_moments
 from ncid.distribution import generate_realizable, scalar_from_moments
-from ncid.errors import NCIDError
+from ncid.errors import DimensionMismatch, NCIDError
 from ncid.serialize import (
     dumps,
     extraction_from_json,
@@ -24,6 +25,8 @@ from ncid.serialize import (
     pair_to_json,
     sigma_from_json,
     sigma_to_json,
+    tensor_from_json,
+    tensor_to_json,
 )
 
 from conftest import SEMICIRCLE_MOMENTS
@@ -146,3 +149,162 @@ def test_functional_from_json_rejects_bad_shape():
     data["moments"]["2"] = [[[1.0, 0.0]]]
     with pytest.raises(NCIDError):
         functional_from_json(data)
+
+
+# Reference codec: the per-entry emitter and walk that wrote and read tensors
+# one Python call per entry.  The whole-array codec must match it byte for
+# byte and bit for bit.
+
+
+def _entry_text(x) -> str:
+    x = float(x)
+    if math.isnan(x) or math.isinf(x):
+        raise NCIDError("cannot serialize non-finite float")
+    if x == 0.0:
+        x = 0.0
+    return format(x, ".17g")
+
+
+def _entrywise_text(node) -> str:
+    if isinstance(node, list):
+        return "[" + ",".join(_entrywise_text(x) for x in node) + "]"
+    return "[" + _entry_text(node.real) + "," + _entry_text(node.imag) + "]"
+
+
+def _entrywise_parse(data, shape) -> np.ndarray:
+    out = np.zeros(shape, dtype=complex)
+
+    def fill(node, idx):
+        depth = len(idx)
+        if depth == len(shape):
+            if isinstance(node, (int, float)):
+                out[idx] = complex(node)
+            elif (
+                isinstance(node, list)
+                and len(node) == 2
+                and all(isinstance(x, (int, float)) for x in node)
+            ):
+                out[idx] = complex(node[0], node[1])
+            else:
+                raise DimensionMismatch(f"expected a number or [re, im] pair, got {node!r}")
+            return
+        if not isinstance(node, list) or len(node) != shape[depth]:
+            raise DimensionMismatch(f"expected a list of length {shape[depth]} at depth {depth}")
+        for i, sub in enumerate(node):
+            fill(sub, idx + (i,))
+
+    fill(data, ())
+    return out
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and float bits, so -0.0 differs from 0.0."""
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.array_equal(np.ravel(a).view(np.uint64), np.ravel(b).view(np.uint64))
+    )
+
+
+_EDGE_SHAPES = [(), (0,), (3, 0), (0, 2, 2), (1,), (5,), (2, 3), (1, 1, 1), (4, 4, 2, 2)]
+_EDGE_VALUES = np.array(
+    [0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 1e300, -1e300, 5e-324, -5e-324,
+     2.2250738585072014e-308, 1e16, 123456789.0, 2.0**53 + 2, -7.5e-200]
+)
+
+
+def _edge_tensors():
+    rng = np.random.default_rng(20)
+    for shape in _EDGE_SHAPES:
+        size = int(np.prod(shape))
+        for trial in range(4):
+            re = rng.choice(_EDGE_VALUES, size)
+            im = rng.choice(_EDGE_VALUES, size)
+            if trial == 1:
+                re = re * rng.standard_normal(size)
+            t = (re + 1j * im).reshape(shape)
+            yield t.real.copy() if trial == 3 else t
+
+
+@pytest.mark.parametrize("t", list(_edge_tensors()), ids=lambda t: f"shape{t.shape}")
+def test_tensor_codec_matches_entrywise_reference(t):
+    text = dumps(tensor_to_json(t))
+    assert text == _entrywise_text(np.asarray(t, dtype=complex).tolist())
+    data = json.loads(text)
+    assert _same_bits(tensor_from_json(data, t.shape), _entrywise_parse(data, t.shape))
+
+
+def test_tensor_text_of_strided_views_and_negative_zero():
+    t = np.arange(24, dtype=float).reshape(2, 3, 4) * (1 - 2j)
+    for view in (t.T, t[:, ::2, 1:], t[..., 0]):
+        assert dumps(tensor_to_json(view)) == _entrywise_text(view.tolist())
+    assert dumps(tensor_to_json(np.array([complex(-0.0, -0.0)]))) == "[[0,0]]"
+    assert dumps({"t": tensor_to_json(np.ones(1)), "x": -0.0}) == '{"t":[[1,0]],"x":0}'
+
+
+@pytest.mark.parametrize(
+    "data, shape",
+    [
+        ([[-0.0, -0.0], -0.0], (2,)),  # mixed pair and plain number
+        ([1, [2, 3]], (2,)),
+        ([True, False], (2,)),  # bools are numbers, as in Python
+        ([[True, 1.5], [0, -2]], (2,)),
+        ([[1, 2], [3, 4]], (2, 2)),  # plain numbers
+        ([[1, 2], [3, 4]], (2,)),  # the same numbers as pairs
+        ([2**62 + 1, -(2**62)], (2,)),  # int64 entries
+        ([2**63, 1], (2,)),  # beyond int64
+        ([-0.0, 0.0], ()),
+        (-0.0, ()),
+        (7, ()),
+        ([], (0,)),
+        ([[], []], (2, 0)),
+    ],
+)
+def test_tensor_from_json_matches_entrywise_reference(data, shape):
+    assert _same_bits(tensor_from_json(data, shape), _entrywise_parse(data, shape))
+
+
+@pytest.mark.parametrize(
+    "data, shape",
+    [
+        (["a", "b"], (2,)),
+        ([None, 1], (2,)),
+        ([[1, 0], [2]], (2,)),  # ragged
+        ([[1, 0, 0], [2, 0, 0]], (2,)),  # triples
+        ([1, 2, 3], (2,)),  # wrong length
+        ([[[1, 0]]], (1,)),  # one level too deep
+        ([1, 2], (2, 2)),  # one level too shallow
+        ({"re": 1}, ()),
+        ([[1, "0"]], (1,)),
+    ],
+)
+def test_tensor_from_json_raises_the_reference_errors(data, shape):
+    with pytest.raises(DimensionMismatch) as want:
+        _entrywise_parse(data, shape)
+    with pytest.raises(DimensionMismatch) as got:
+        tensor_from_json(data, shape)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [float("nan"), 0.0],
+        [0.0, float("inf")],
+        float("-inf"),
+        10**400,
+        [1, -(10**400)],
+        [1.5, 10**400],
+    ],
+)
+def test_tensor_from_json_rejects_non_finite_and_overflowing_numbers(data):
+    with pytest.raises(DimensionMismatch, match="finite|float range"):
+        tensor_from_json([data, [1.0, 0.0]], (2,))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+def test_dumps_rejects_non_finite_tensors(bad):
+    t = np.zeros((2, 2), dtype=complex)
+    t[1, 0] = bad
+    with pytest.raises(NCIDError, match="non-finite"):
+        dumps(tensor_to_json(t))
