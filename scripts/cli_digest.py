@@ -5,6 +5,10 @@ cli-k2-n8 workload (gen a, gen b, cumulants, convolve, root, certify, extract,
 check; kind boolean), then `check --identity` B, R, cR, G, axioms and tensor
 at each order on law a (cR with law b as --aux), and `selftest` at each
 selftest seed.  Each line reads `<sha256 of stdout> <exit code> <step>`.
+Every tensor file of the chain (the laws, the cumulant family and the
+extraction) gets a second line, `<step> reloaded`: the digest of that file
+loaded and written again by the same source tree, which equals the first
+digest when writing inverts loading.
 Run it once per source tree and compare the two listings:
 
     python scripts/cli_digest.py --src ../other/src --pairs 11 12 > other.txt
@@ -26,17 +30,31 @@ ROOT = Path(__file__).resolve().parent.parent
 IDENTITIES = ("B", "R", "cR", "G", "axioms", "tensor")
 
 
+# Loads a tensor file with ncid.serialize's <codec>_from_json and writes it
+# back with <codec>_to_json, as the CLI writes its output.
+RELOAD = """
+import sys
+from ncid import serialize
+codec, path = sys.argv[1:]
+back = getattr(serialize, codec + "_from_json")(serialize.load_path(path))
+to_json = getattr(serialize, codec + "_to_json")
+print(serialize.dumps(to_json(*back) if isinstance(back, tuple) else to_json(back)))
+"""
+
+
 def chain(law, s_a, s_b):
-    """(step name, CLI arguments, output file) of the benchmark's chain."""
+    """(step name, CLI arguments, output file, codec of a tensor file or None)
+    of the benchmark's chain."""
     return [
-        ("gen a", ["gen", *law, "--seed", s_a], "a.json"),
-        ("gen b", ["gen", *law, "--seed", s_b], "b.json"),
-        ("cumulants", ["cumulants", "--kind", "boolean", "--in", "a.json"], "ca.json"),
-        ("convolve", ["convolve", "--kind", "boolean", "a.json", "b.json"], "ab.json"),
-        ("root", ["root", "--kind", "boolean", "--n", "2", "ab.json"], "r.json"),
-        ("certify", ["certify", "--kind", "boolean", "--degree", "4", "r.json"], "cert.json"),
-        ("extract", ["extract", "--kind", "boolean", "r.json"], "ex.json"),
-        ("check", ["check", "--identity", "B", "r.json"], "check.json"),
+        ("gen a", ["gen", *law, "--seed", s_a], "a.json", "functional"),
+        ("gen b", ["gen", *law, "--seed", s_b], "b.json", "functional"),
+        ("cumulants", ["cumulants", "--kind", "boolean", "--in", "a.json"], "ca.json", "family"),
+        ("convolve", ["convolve", "--kind", "boolean", "a.json", "b.json"], "ab.json",
+         "functional"),
+        ("root", ["root", "--kind", "boolean", "--n", "2", "ab.json"], "r.json", "functional"),
+        ("certify", ["certify", "--kind", "boolean", "--degree", "4", "r.json"], "cert.json", None),
+        ("extract", ["extract", "--kind", "boolean", "r.json"], "ex.json", "extraction"),
+        ("check", ["check", "--identity", "B", "r.json"], "check.json", None),
     ]
 
 
@@ -45,7 +63,7 @@ def checks(orders):
         for order in orders:
             aux = ["--aux", "b.json"] if name == "cR" else []
             args = ["check", "--identity", name, "--order", str(order), "a.json", *aux]
-            yield f"check {name} order {order}", args, f"check-{name}-{order}.json"
+            yield f"check {name} order {order}", args, f"check-{name}-{order}.json", None
 
 
 def main() -> None:
@@ -67,19 +85,23 @@ def main() -> None:
     )
     law = ["--k", str(args.k), "--d", str(args.d), "--trunc", str(args.trunc)]
     with tempfile.TemporaryDirectory() as work:
-        def run(label, cli_args, outfile):
+        def run(label, argv, outfile):
             out = Path(work) / outfile
             with open(out, "wb") as fh:
-                proc = subprocess.run([sys.executable, "-m", "ncid.cli", *cli_args],
+                proc = subprocess.run([sys.executable, *argv],
                                       stdout=fh, stderr=subprocess.DEVNULL, env=env, cwd=work)
             print(hashlib.sha256(out.read_bytes()).hexdigest(), proc.returncode, label, flush=True)
 
         for s_a, s_b in zip(args.pairs[::2], args.pairs[1::2]):
             steps = chain(law, str(s_a), str(s_b)) + list(checks(args.orders))
-            for label, cli_args, outfile in steps:
-                run(f"seeds {s_a} {s_b}: {label}", cli_args, outfile)
+            for label, cli_args, outfile, codec in steps:
+                label = f"seeds {s_a} {s_b}: {label}"
+                run(label, ["-m", "ncid.cli", *cli_args], outfile)
+                if codec is not None:
+                    run(f"{label} reloaded", ["-c", RELOAD, codec, outfile], "reloaded.json")
         for seed in args.selftest:
-            run(f"selftest seed {seed}", ["selftest", "--seed", str(seed)], "selftest.json")
+            run(f"selftest seed {seed}", ["-m", "ncid.cli", "selftest", "--seed", str(seed)],
+                "selftest.json")
 
 
 if __name__ == "__main__":

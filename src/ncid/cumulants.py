@@ -214,14 +214,20 @@ def _bordered(levels_j, eunits):
 
 
 def _boolean_cross_terms(n, b_levels, m_levels, eunits, k, d):
-    """Sum over split positions j of B_j(u_1..u_j) mu(X u_{j+1} ... X)."""
+    """Sum over split positions j of B_j(u_1..u_j) mu(X u_{j+1} ... X).
+
+    Split j is one matmul with rows (u_1..u_j, a) and columns
+    (u_{j+1}..u_{n-1}, c), added in place to the (heads, tails, a, c) view.
+    """
     k2 = k * k
     total = np.zeros((k2,) * (n - 1) + (d, d), dtype=np.complex128)
     for j in range(1, n):
-        be = _bordered(b_levels[j], eunits).reshape(k2**j, d, d)
-        rest = m_levels[n - j].reshape(k2 ** (n - 1 - j), d, d)
-        term = np.einsum("iab,jbc->ijac", be, rest)
-        total = total + term.reshape((k2,) * (n - 1) + (d, d))
+        heads, tails = k2**j, k2 ** (n - 1 - j)
+        be = _bordered(b_levels[j], eunits).reshape(heads * d, d)
+        rest = m_levels[n - j].reshape(tails, d, d).transpose(1, 0, 2).reshape(d, tails * d)
+        term = (be @ rest).reshape(heads, d, tails, d)
+        view = total.reshape(heads, tails, d, d)
+        view += term.transpose(0, 2, 1, 3)
     return total
 
 

@@ -424,6 +424,11 @@ def check_nc_function_axioms(
     strictly upper arguments strictly upper.
     """
     _require_order(order)
+    if 2 * order - 1 > mu.truncation:  # direct sums reach size 2 * order
+        raise OrderExceedsTruncation(
+            f"axioms check at order {order} needs truncation {2 * order - 1}, "
+            f"got {mu.truncation}"
+        )
     pair = mu.pair
     k, d = pair.k, pair.d
     rng = np.random.default_rng(seed)

@@ -5,12 +5,15 @@ numbers as two-element [re, im] arrays, so identical data always produces
 byte-identical output regardless of platform or dict ordering history.
 Every tensor entry is written as an [re, im] pair; on input a plain number
 is accepted too, and entries that are not finite floats are rejected.
+Input may use any JSON whitespace; the values read and the errors raised
+do not depend on the layout.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -21,6 +24,11 @@ from .errors import DimensionMismatch, NCIDError
 
 _KINDS = ("boolean", "free", "cfree")
 
+# A member value made only of brackets, commas and number characters.
+_NUMERIC_VALUE = re.compile(r":(\[[-+.0-9eE,\[\]]*\])")
+_NUMBER_CHARS = str.maketrans("", "", "-+.0123456789eE")
+_MAX_AXES = 64  # numpy's limit
+
 
 def _fmt(x: float) -> str:
     x = float(x)
@@ -29,6 +37,15 @@ def _fmt(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return format(x, ".17g")
+
+
+def _layout(shape, number: str) -> str:
+    """The text of a complex tensor of that shape: nested rows of
+    [re, im] pairs, each part written as `number`."""
+    text = "[" + number + "," + number + "]"
+    for n in reversed(shape):
+        text = "[" + ",".join([text] * n) + "]"
+    return text
 
 
 def _emit(obj, out: list) -> None:
@@ -48,15 +65,12 @@ def _emit(obj, out: list) -> None:
                 out.append(",")
             _emit(val, out)
         out.append("]")
-    elif isinstance(obj, np.ndarray):  # a tensor: one '%' over a template of its shape
+    elif isinstance(obj, np.ndarray):  # a tensor: one '%' over its layout
         a = np.asarray(obj, dtype=complex)
         if not np.isfinite(a).all():
             raise NCIDError("cannot serialize non-finite float")
-        text = "[%.17g,%.17g]"
-        for n in reversed(a.shape):
-            text = "[" + ",".join([text] * n) + "]"
         parts = np.ascontiguousarray(a).reshape(-1).view(float) + 0.0  # -0.0 becomes 0.0
-        out.append(text % tuple(parts.tolist()))
+        out.append(_layout(a.shape, "%.17g") % tuple(parts.tolist()))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, bool):
@@ -98,9 +112,10 @@ def _parse_complex(entry) -> complex:
 
 
 def tensor_from_json(data, shape) -> np.ndarray:
-    """The complex tensor of that shape; entries are [re, im] pairs or numbers."""
+    """The complex tensor of that shape; entries are [re, im] pairs or numbers,
+    in nested lists or in an array as load_path reads them."""
     try:
-        arr = np.array(data)
+        arr = np.asarray(data)
     except ValueError:
         arr = None  # ragged or mixed entries: the walk below sorts them out
     if arr is not None and arr.dtype.kind in "bif" and np.isfinite(arr).all():
@@ -108,6 +123,8 @@ def tensor_from_json(data, shape) -> np.ndarray:
             return np.ascontiguousarray(arr, dtype=float).view(complex).reshape(shape)
         if arr.shape == tuple(shape):
             return arr.astype(complex)
+    if isinstance(data, np.ndarray):
+        data = data.tolist()
     out = np.zeros(shape, dtype=complex)
     def fill(node, idx):
         depth = len(idx)
@@ -218,10 +235,69 @@ def pair_file_from_json(data: dict):
     )
 
 
+def _pair_shape(skeleton: str):
+    """The shape S whose _layout(S, "") is this skeleton, or None.
+
+    S is read off the first group at each depth; the length check keeps a
+    malformed skeleton from building a layout longer than itself.
+    """
+    depth = len(skeleton) - len(skeleton.lstrip("["))
+    if depth > _MAX_AXES:
+        return None
+    sizes, length = [], 0
+    for j in range(1, depth + 1):  # j brackets close the first group at depth - j + 1
+        group = skeleton[depth - j : skeleton.find("]" * j) + j]
+        n = group.count("]" * (j - 1) + ",") + 1
+        sizes.append(n)
+        length = n * (length + 1) + 1
+    if length != len(skeleton) or sizes[0] != 2:
+        return None
+    shape = tuple(reversed(sizes[1:]))
+    return shape if _layout(shape, "") == skeleton else None
+
+
+def _loads(text: str):
+    """json.loads(text), except that each member value written exactly as
+    _layout lays out a tensor becomes a float array of shape S + (2,).
+
+    Such a value's numbers go through one flat json.loads, which gives the
+    floats json.loads gives and rejects what it rejects.  The document keeps
+    a NaN placeholder in its place, so a file that spells NaN or Infinity
+    anywhere goes through plain json.loads, as does any value that is not
+    in that exact layout or holds an integer beyond float range.
+    """
+    if "NaN" in text or "Infinity" in text:
+        return json.loads(text)
+    arrays = []
+
+    def flatten(match):
+        value = match.group(1)
+        shape = _pair_shape(value.translate(_NUMBER_CHARS))
+        if shape is None:
+            return match.group()
+        numbers = "[" + value.replace("[", "").replace("]", "") + "]"
+        try:
+            parts = np.array(json.loads(numbers), dtype=float)
+        except (ValueError, OverflowError):  # not JSON numbers, or an integer beyond float range
+            return match.group()
+        arrays.append(parts.reshape(shape + (2,)))
+        return ":NaN"
+
+    marked = _NUMERIC_VALUE.sub(flatten, text)
+    placed = iter(arrays)
+    try:
+        data = json.loads(marked, parse_constant=lambda _: next(placed))
+    except (ValueError, RecursionError):
+        return json.loads(text)  # raises with the file's own positions
+    if next(placed, None) is not None:  # a placeholder fell inside a string
+        return json.loads(text)
+    return data
+
+
 def load_path(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _loads(fh.read())
     except OSError as exc:
         raise NCIDError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad syntax, a >4300-digit integer, deep nesting

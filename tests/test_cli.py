@@ -149,6 +149,19 @@ def test_check_refuses_orders_below_one(semi_path, identity, order):
     assert out.stderr == ""
 
 
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_check_order_bounds_of_axioms_and_tensor(semi_path, seed):
+    # semi_path has truncation 6: axioms need 2 * order - 1 <= 6, tensor order <= 6
+    for identity, order, error in (("axioms", "4", "OrderExceedsTruncation"),
+                                   ("tensor", "7", "TruncationExceeded")):
+        out = run_cli("check", "--identity", identity, "--order", order, "--seed", seed, semi_path)
+        assert out.returncode == 1, out.stdout
+        assert json.loads(out.stdout)["error"]["type"] == error
+        assert out.stderr == ""
+    out = run_cli("check", "--identity", "tensor", "--order", "6", "--seed", seed, semi_path)
+    assert out.returncode == 0 and json.loads(out.stdout)["pass"] is True
+
+
 def test_check_cfree_needs_aux(semi_path):
     out = run_cli("check", "--identity", "cR", semi_path)
     assert out.returncode == 1

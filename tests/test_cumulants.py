@@ -109,6 +109,38 @@ def test_boolean_round_trip(k, d, ambient, seed):
         assert relerr(back.raw(n), mf.raw(n)) < 1e-12
 
 
+def _einsum_cross_terms(n, b_levels, m_levels, eunits, k, d):
+    """The boolean split sum with one einsum per split, as the recursion
+    computed it before the matmul kernel: the reference for it."""
+    k2 = k * k
+    total = np.zeros((k2,) * (n - 1) + (d, d), dtype=np.complex128)
+    for j in range(1, n):
+        be = np.einsum("...ab,ubc->...uac", b_levels[j], eunits).reshape(k2**j, d, d)
+        rest = m_levels[n - j].reshape(k2 ** (n - 1 - j), d, d)
+        term = np.einsum("iab,jbc->ijac", be, rest)
+        total = total + term.reshape((k2,) * (n - 1) + (d, d))
+    return total
+
+
+@pytest.mark.parametrize("k,d,trunc", [(2, 2, 8), (2, 4, 5), (1, 1, 12)])
+def test_boolean_recursions_match_the_einsum_split_sum(k, d, trunc):
+    pair = AlgebraPair.identity(1) if k == 1 else AlgebraPair.block_diagonal(k, d)
+    mu = generate_realizable(21, pair, trunc, ambient=2 * d)
+    eunits = pair.embedded_units
+    want_b = {1: mu.raw(1)}
+    for n in range(2, trunc + 1):
+        want_b[n] = mu.raw(n) - _einsum_cross_terms(n, want_b, mu.levels, eunits, k, d)
+    fam = boolean_from_moments(mu)
+    want_m = {1: fam.levels[1]}
+    for n in range(2, trunc + 1):
+        want_m[n] = fam.levels[n] + _einsum_cross_terms(n, fam.levels, want_m, eunits, k, d)
+    back = moments_from_boolean(fam)
+    for n in range(1, trunc + 1):
+        scale = np.abs(mu.raw(n)).max()
+        assert np.abs(fam.levels[n] - want_b[n]).max() <= 1e-14 * scale
+        assert np.abs(back.raw(n) - want_m[n]).max() <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("k,d,ambient", [(1, 1, 2), (2, 2, 4), (2, 4, 8)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_free_round_trip(k, d, ambient, seed):

@@ -195,6 +195,22 @@ def test_transform_axioms(semicircle, mu22):
         assert res["residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_axioms_need_twice_the_order_minus_one_levels(seed):
+    # direct sums reach size 2 * order, which reads 2 * order - 1 levels
+    mu = generate_realizable(3, AlgebraPair.identity(1), 12, 2)
+    assert check_nc_function_axioms(mu, order=6, seed=seed)["pass"]
+    with pytest.raises(OrderExceedsTruncation):
+        check_nc_function_axioms(mu, order=7, seed=seed)
+
+
+def test_tensor_order_is_bounded_by_the_truncation():
+    mu = generate_realizable(3, AlgebraPair.identity(1), 6, 2)
+    assert tensor_compatibility(mu, 2, order=6, probes=3)["pass"]
+    with pytest.raises(TruncationExceeded):
+        tensor_compatibility(mu, 2, order=7, probes=3)
+
+
 def test_amplify_by_one_is_identity(mu22):
     amp = amplify_functional(mu22, 1, 4)
     assert amp.pair.k == 2 and amp.pair.d == 2

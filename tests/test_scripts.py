@@ -51,8 +51,17 @@ def test_cli_digest_smoke():
     )
     assert out.returncode == 0, out.stderr
     lines = [line.split(" ", 2) for line in out.stdout.splitlines()]
-    assert len(lines) == 8 + 6 + 1  # the chain, six identities, one selftest
+    # the chain, its six tensor files reloaded, six identities, one selftest
+    assert len(lines) == 8 + 6 + 6 + 1
     assert all(len(digest) == 64 and code in ("0", "1", "2") for digest, code, _ in lines)
+    digests = {label: (digest, code) for digest, code, label in lines}
+    reloaded = [label for label in digests if label.endswith(" reloaded")]
+    assert [label.split(": ")[1] for label in reloaded] == [
+        "gen a reloaded", "gen b reloaded", "cumulants reloaded", "convolve reloaded",
+        "root reloaded", "extract reloaded",
+    ]
+    for label in reloaded:  # writing inverts loading on every tensor file of the chain
+        assert digests[label] == digests[label.removesuffix(" reloaded")]
     law = generate_realizable(3, AlgebraPair.identity(1), 4, 2)
     text = dumps(functional_to_json(law)) + "\n"
     assert lines[0] == [hashlib.sha256(text.encode()).hexdigest(), "0", "seeds 3 4: gen a"]

@@ -19,10 +19,12 @@ from ncid.serialize import (
     family_to_json,
     functional_from_json,
     functional_to_json,
+    load_path,
     pair_file_from_json,
     pair_file_to_json,
     pair_from_json,
     pair_to_json,
+    save_path,
     sigma_from_json,
     sigma_to_json,
     tensor_from_json,
@@ -308,3 +310,155 @@ def test_dumps_rejects_non_finite_tensors(bad):
     t[1, 0] = bad
     with pytest.raises(NCIDError, match="non-finite"):
         dumps(tensor_to_json(t))
+
+
+# load_path reads tensors in the exact layout dumps writes with one flat parse
+# of their numbers; the reference is json.load followed by the nested lists.
+
+
+def _reference_load(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise NCIDError(str(exc)) from exc
+
+
+def _same_law(a, b) -> bool:
+    return a.truncation == b.truncation and all(
+        _same_bits(a.levels[n], b.levels[n]) for n in a.levels
+    ) and _same_bits(a.pair.embed_matrix, b.pair.embed_matrix)
+
+
+_LAWS = {
+    "k1d1n12": lambda: generate_realizable(3, AlgebraPair.identity(1), 12, 2),
+    "k2d2n6": lambda: generate_realizable(4, AlgebraPair.block_diagonal(2, 2), 6, 8),
+    "k2d4n5": lambda: generate_realizable(5, AlgebraPair.block_diagonal(2, 4), 5, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAWS))
+def test_load_path_then_dumps_gives_back_the_file(name, tmp_path):
+    path = tmp_path / "law.json"
+    save_path(path, functional_to_json(_LAWS[name]()))
+    text = path.read_text()
+    law = functional_from_json(load_path(path))
+    assert dumps(functional_to_json(law)) + "\n" == text
+    assert _same_law(law, functional_from_json(_reference_load(path)))
+    pretty = tmp_path / "pretty.json"
+    pretty.write_text(json.dumps(json.loads(text), indent=1))
+    assert _same_law(functional_from_json(load_path(pretty)), law)
+
+
+def test_load_path_of_family_and_pair_file(nu22, mu24, tmp_path):
+    fam = family_from_json(json.loads(dumps(family_to_json(free_from_moments(nu22)))))
+    save_path(tmp_path / "fam.json", family_to_json(fam))
+    back = family_from_json(load_path(tmp_path / "fam.json"))
+    assert back.kind == "free"
+    assert all(_same_bits(back.levels[n], fam.levels[n]) for n in fam.levels)
+    save_path(tmp_path / "pair.json", pair_file_to_json(mu24, mu24))
+    mu, nu = pair_file_from_json(load_path(tmp_path / "pair.json"))
+    want = functional_from_json(_reference_load(tmp_path / "pair.json")["mu"])
+    assert _same_law(mu, want) and _same_law(nu, want)
+
+
+@pytest.mark.parametrize("note", ["NaN", "Infinity", ":[[1,0]]", 'x":[[1,0]]'])
+def test_load_path_keeps_strings_that_look_like_tensors(note, tmp_path):
+    law = generate_realizable(6, AlgebraPair.identity(1), 4, 2)
+    path = tmp_path / "law.json"
+    save_path(path, {"note": note, **functional_to_json(law)})
+    data = load_path(path)
+    assert data["note"] == note
+    assert _same_law(functional_from_json(data), law)
+
+
+_SMALL_LAW = dumps(
+    functional_to_json(generate_realizable(7, AlgebraPair.block_diagonal(2, 2), 3, 4))
+)
+_LEVEL_2 = _SMALL_LAW[_SMALL_LAW.index('"2":') + 4 : _SMALL_LAW.index(',"3":')]
+_LEVEL_3 = _SMALL_LAW[_SMALL_LAW.index('"3":') + 4 : -2]
+_PAIRS = [f"[{i},{-i}]" for i in range(16)]
+
+
+def _nest(items: list, shape) -> str:
+    """The texts in items as nested rows of that shape."""
+    if len(shape) == 1:
+        return "[" + ",".join(items) + "]"
+    step = len(items) // shape[0]
+    rows = (_nest(items[i * step : (i + 1) * step], shape[1:]) for i in range(shape[0]))
+    return "[" + ",".join(rows) + "]"
+
+
+def _level_2(value: str) -> str:
+    """The small law (level 2 has shape (4, 2, 2)) with level 2 replaced."""
+    return _SMALL_LAW.replace(_LEVEL_2, value, 1)
+
+
+def _pair_3(text: str) -> str:
+    return _level_2(_nest(_PAIRS[:3] + [text] + _PAIRS[4:], (4, 2, 2)))
+
+
+_MALFORMED = {
+    "unchanged": _SMALL_LAW,
+    "integer pairs": _level_2(_nest(_PAIRS, (4, 2, 2))),
+    "empty array": _level_2("[]"),
+    "empty rows": _level_2("[[],[],[],[]]"),
+    "ragged": _level_2(_nest(_PAIRS, (4, 2, 2)).replace(",[1,-1]]", "]", 1)),
+    "ragged, same length": _level_2(
+        _nest(_PAIRS, (4, 2, 2)).replace("[[4,-4],[5,-5]]", "[[4,-4,5],[-5]]", 1)
+    ),
+    "triple": _pair_3("[1,2,3]"),
+    "plain number": _pair_3("7"),
+    "all plain numbers": _level_2(_nest([str(i) for i in range(16)], (4, 2, 2))),
+    "1e400": _pair_3("[1e400,0]"),
+    "-1e400": _pair_3("[0,-1e400]"),
+    "400 digits": _pair_3("[" + "9" * 400 + ",0]"),
+    "5000 digits": _pair_3("[" + "9" * 5000 + ",0]"),
+    "beyond int64": _pair_3(f"[{2**63},{-(2**64)}]"),
+    "negative zero": _pair_3("[-0.0,-0]"),
+    "true": _pair_3("[true,0]"),
+    "NaN": _pair_3("[NaN,0]"),
+    "Infinity": _pair_3("[0,Infinity]"),
+    "-Infinity": _pair_3("[-Infinity,0]"),
+    "string": _pair_3('["1",0]'),
+    "leading zero": _pair_3("[01,0]"),
+    "plus sign": _pair_3("[+1,0]"),
+    "bare dot": _pair_3("[.5,0]"),
+    "space": _pair_3("[1, 0]"),
+    "level 3 as level 2": _level_2(_LEVEL_3),
+    "one level too deep": _level_2("[" + _nest(_PAIRS, (4, 2, 2)) + "]"),
+    "short outer axis": _level_2(_nest(_PAIRS[:8], (2, 2, 2))),
+    "axes swapped": _level_2(_nest(_PAIRS, (2, 4, 2))),
+    "missing comma in a tensor": _level_2(_nest(_PAIRS, (4, 2, 2)).replace("],[", "][", 1)),
+    "missing comma between members": _SMALL_LAW.replace(',"truncation"', '"truncation"', 1),
+    "unclosed": _SMALL_LAW[:-1],
+    "deep nesting": _level_2("[" * 100000 + "]" * 100000),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_load_path_keeps_values_and_error_types_of_the_nested_reader(name, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(_MALFORMED[name])
+    try:
+        want = functional_from_json(_reference_load(path))
+    except NCIDError as exc:
+        with pytest.raises(NCIDError) as got:
+            functional_from_json(load_path(path))
+        assert type(got.value) is type(exc)
+    else:
+        assert _same_law(functional_from_json(load_path(path)), want)
+
+
+def test_a_malformed_skeleton_builds_no_layout_longer_than_itself(monkeypatch):
+    import ncid.serialize as serialize
+
+    layout = serialize._layout
+    built = []
+    monkeypatch.setattr(
+        serialize, "_layout", lambda shape, number: built.append(shape) or layout(shape, number)
+    )
+    m = 300  # a first row of m pairs beside m - 1 rows of one: the first rows read as shape (m, m)
+    skeleton = "[" + _nest(["[,]"] * m, (m,)) + ",[[,]]" * (m - 1) + "]"
+    assert serialize._pair_shape(skeleton) is None
+    assert built == []
