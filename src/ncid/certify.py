@@ -22,11 +22,12 @@ from .cumulants import (
     free_from_moments,
     functional_of,
 )
-from .distribution import MomentFunctional
+from .distribution import MAX_GENERATE_BYTES, MomentFunctional
 from .errors import (
     CertificateFailed,
     DimensionMismatch,
     NCIDError,
+    TooLarge,
     TruncationExceeded,
 )
 from .ncfunctions import eval_series
@@ -133,6 +134,20 @@ def word_pairing(levels: dict, left: tuple, right: tuple, k: int, shift: int = 0
     return levels[n][idx]
 
 
+def check_gram_size(nf: int, v: int, copies: int = 4) -> None:
+    """Refuse, before anything is built, a Gram of nf x nf (v, v) blocks
+    whose arrays held at once pass MAX_GENERATE_BYTES (TooLarge).
+
+    Each array has (nf v)^2 complex entries.  A Hermitian Gram holds four:
+    the blocks, the tiled matrix, then its adjoint and their sum, or the sum
+    and its half.
+    """
+    need = copies * 16 * (nf * v) ** 2
+    if need > MAX_GENERATE_BYTES:
+        raise TooLarge(f"Gram of {nf} words with {v} x {v} blocks needs {need} bytes, "
+                       f"above {MAX_GENERATE_BYTES}")
+
+
 def hermitian_gram(blocks: np.ndarray) -> np.ndarray:
     """Hermitian part of the Gram matrix tiled by (f, f, v, v) pairing blocks."""
     mat = block_matrix(blocks)
@@ -166,8 +181,9 @@ def gram(phi: MomentFunctional, degree: int, no_free_term: bool = True):
         )
     if degree < 1:
         raise NCIDError("gram degree must be >= 1")
-    words = word_family(k, range(1, degree + 1))
     consts = [] if no_free_term else list(range(k * k))
+    check_gram_size(len(consts) + sum((k * k) ** j for j in range(1, degree + 1)), phi.pair.d)
+    words = word_family(k, range(1, degree + 1))
     stored = {n: phi.raw(n) for n in range(1, 2 * degree + 1)}
     blocks = _word_blocks(stored, words, k, phi.pair.d, 0, len(consts))
     eunits = phi.pair.embedded_units
@@ -195,6 +211,7 @@ def sigma_gram(sigma: SigmaForm, degree: int):
             f"stored {sigma.truncation}"
         )
     k = sigma.pair.k
+    check_gram_size(sum((k * k) ** j for j in range(1, degree + 2)), sigma.value_dim)
     words = word_family(k, range(1, degree + 2))
     blocks = _word_blocks(sigma.levels, words, k, sigma.value_dim, 2)
     return hermitian_gram(blocks), words
@@ -359,7 +376,7 @@ def levy_hincin_extract(kind: str, data, tol: float = DEFAULT_TOL):
 def levy_hincin_reconstruct(kind: str, alpha, sigma: SigmaForm, point):
     """Evaluate the extracted transform at a nilpotent matrix point.
 
-    point carries strictly upper triangular entries of shape (m, m, k, k);
+    point carries nilpotent entries of shape (m, m, k, k), acyclic support;
     the return value is the transform applied entrywise, shape (m, m, d, d).
     The data (alpha, sigma) is rebuilt into its cumulant family, whose series
     ncfunctions.eval_series sums with the one nilpotent-point path-sum kernel.

@@ -210,22 +210,24 @@ def _cfree_level_sum(n, ck_levels, m_levels, nu_levels, units, eunits, k, d):
 
 
 def _bordered(levels_j, eunits):
-    return np.einsum("...ab,ubc->...uac", levels_j, eunits)
+    """A boolean level B_j with its last slot's unit embedded: the
+    (u_1..u_j, a) rows of one matmul per split."""
+    return np.einsum("...ab,ubc->...uac", levels_j, eunits).reshape(-1, eunits.shape[-1])
 
 
-def _boolean_cross_terms(n, b_levels, m_levels, eunits, k, d):
+def _boolean_cross_terms(n, bordered, m_levels, k, d):
     """Sum over split positions j of B_j(u_1..u_j) mu(X u_{j+1} ... X).
 
-    Split j is one matmul with rows (u_1..u_j, a) and columns
-    (u_{j+1}..u_{n-1}, c), added in place to the (heads, tails, a, c) view.
+    bordered[j] holds _bordered(B_j), made once per level.  Split j is one
+    matmul with rows (u_1..u_j, a) and columns (u_{j+1}..u_{n-1}, c), added
+    in place to the (heads, tails, a, c) view.
     """
     k2 = k * k
     total = np.zeros((k2,) * (n - 1) + (d, d), dtype=np.complex128)
     for j in range(1, n):
         heads, tails = k2**j, k2 ** (n - 1 - j)
-        be = _bordered(b_levels[j], eunits).reshape(heads * d, d)
         rest = m_levels[n - j].reshape(tails, d, d).transpose(1, 0, 2).reshape(d, tails * d)
-        term = (be @ rest).reshape(heads, d, tails, d)
+        term = (bordered[j] @ rest).reshape(heads, d, tails, d)
         view = total.reshape(heads, tails, d, d)
         view += term.transpose(0, 2, 1, 3)
     return total
@@ -236,8 +238,10 @@ def boolean_from_moments(mu: MomentFunctional) -> CumulantFamily:
     k, d = mu.pair.k, mu.pair.d
     eunits = mu.pair.embedded_units
     b = {1: mu.raw(1).copy()}
+    bordered = {}
     for n in range(2, mu.truncation + 1):
-        b[n] = mu.raw(n) - _boolean_cross_terms(n, b, mu.levels, eunits, k, d)
+        bordered[n - 1] = _bordered(b[n - 1], eunits)
+        b[n] = mu.raw(n) - _boolean_cross_terms(n, bordered, mu.levels, k, d)
     return CumulantFamily(kind="boolean", pair=mu.pair, truncation=mu.truncation, levels=b)
 
 
@@ -247,8 +251,10 @@ def moments_from_boolean(fam: CumulantFamily) -> MomentFunctional:
     k, d = fam.pair.k, fam.pair.d
     eunits = fam.pair.embedded_units
     m = {1: fam.levels[1].copy()}
+    bordered = {}
     for n in range(2, fam.truncation + 1):
-        m[n] = fam.levels[n] + _boolean_cross_terms(n, fam.levels, m, eunits, k, d)
+        bordered[n - 1] = _bordered(fam.levels[n - 1], eunits)
+        m[n] = fam.levels[n] + _boolean_cross_terms(n, bordered, m, k, d)
     return MomentFunctional(pair=fam.pair, truncation=fam.truncation, levels=m)
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, AlgebraPair, block_matrix, psd_floor, require_hermitian
 from .certify import (
     SigmaForm,
+    check_gram_size,
     gram,
     hermitian_gram,
     sigma_gram,
@@ -700,6 +701,7 @@ def operator_matrix(model: FockModel, name: str, cap: int, component: int = 0):
     index = {key: i for i, key in enumerate(keys)}
     v = _coord_dim(model)
     n = len(keys)
+    check_gram_size(n, v, copies=2)  # the blocks and the tiled matrix
     blocks = np.zeros((n, n, v, v), dtype=complex)
     eye = np.eye(v, dtype=complex)
     for j, key in enumerate(keys):
@@ -739,6 +741,7 @@ def gram_matrix(model: FockModel, cap: int):
     keys = fock_basis(model, cap)
     v = _coord_dim(model)
     n = len(keys)
+    check_gram_size(n, v)
     blocks = np.zeros((n, n, v, v), dtype=complex)
     if model.kind == "boolean":
         # centered pairing: <w', w> = mu(w'* w) - mu(w')* mu(w); the vacuum

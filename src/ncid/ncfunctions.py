@@ -36,7 +36,10 @@ from .errors import (
 
 @dataclass(frozen=True, eq=False)
 class NilpotentPoint:
-    """Strictly upper triangular element of M_m(B), entries (m, m, k, k)."""
+    """Element of M_m(B), entries (m, m, k, k), whose support is acyclic.
+
+    Strictly upper triangular up to an order of its indices, so nilpotent.
+    """
 
     m: int
     k: int
@@ -50,12 +53,7 @@ class NilpotentPoint:
         if entries.shape[2] != entries.shape[3]:
             raise DimensionMismatch("blocks must be square")
         m = entries.shape[0]
-        for i in range(m):
-            for j in range(i + 1):
-                if np.abs(entries[i, j]).max(initial=0.0) > 0:
-                    raise DimensionMismatch(
-                        "only strictly upper triangular points are supported"
-                    )
+        _support_chain(entries, m)  # DimensionMismatch when the support has a cycle
         return cls(m=m, k=entries.shape[2], entries=entries)
 
     @classmethod
@@ -512,6 +510,10 @@ def tensor_compatibility(
     n-amplified functional at m x m points agrees with evaluating the
     original transform at the regrouped (mn) x (mn) point."""
     _require_order(order)
+    if order > mu.truncation:
+        raise OrderExceedsTruncation(
+            f"tensor check at order {order} exceeds truncation {mu.truncation}"
+        )
     pair = mu.pair
     k = pair.k
     amp = amplify_functional(mu, n, order)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -118,24 +119,33 @@ def leq(sigma: NCPartition, pi: NCPartition) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def moebius(sigma: NCPartition, pi: NCPartition) -> int:
     """Moebius function of the interval [sigma, pi] in NC(n).
 
-    Computed by the defining recursion sum_{sigma<=tau<=pi} moeb(sigma,tau)
-    = [sigma==pi], memoized.  The tests check it against the zeta matrix
-    (M Z = I on NC(n) for n <= 6) and against the closed form
-    moeb(0_n, 1_n) = (-1)^(n-1) Cat_(n-1) for n <= 6.
+    The interval factors over the blocks W of pi, and [sigma|W, 1_W] is
+    isomorphic to the lattice below the Kreweras complement K(sigma|W), a
+    product of full lattices NC(l) with moeb(0_l, 1_l) = (-1)^(l-1) Cat_(l-1)
+    (Nica-Speicher, Lectures 9-10).  K(sigma|W) has the cycles of
+    sigma^(-1) o gamma_W, gamma_W the cyclic shift of W, and sigma the
+    permutation whose cycles are its blocks in increasing order.
     """
     if not leq(sigma, pi):
         raise NotComparable(f"{sigma} is not below {pi}")
-    if sigma == pi:
-        return 1
-    total = 0
-    for tau in enumerate_nc(pi.n):
-        if tau != pi and leq(sigma, tau) and leq(tau, pi):
-            total += moebius(sigma, tau)
-    return -total
+    sigma_inv = {}
+    for b in sigma.blocks:
+        sigma_inv.update(zip(b[1:] + b[:1], b))
+    value, seen = 1, set()
+    for w in pi.blocks:
+        shift = dict(zip(w, w[1:] + w[:1]))
+        for start in w:
+            size, e = 0, start
+            while e not in seen:
+                seen.add(e)
+                size += 1
+                e = sigma_inv[shift[e]]
+            if size:
+                value *= (-1) ** (size - 1) * (comb(2 * size - 2, size - 1) // size)
+    return value
 
 
 def classify_blocks(pi: NCPartition) -> tuple:

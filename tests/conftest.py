@@ -7,7 +7,12 @@ import pytest
 from ncid.algebra import AlgebraPair
 from ncid.certify import SigmaForm, family_from_levy_hincin
 from ncid.cumulants import moments_from_cfree, moments_from_free
-from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
+from ncid.distribution import (
+    MomentFunctional,
+    generate_realizable,
+    level_shape,
+    scalar_from_moments,
+)
 
 # frozen scalar references (moments m_1..m_6 of the standard laws)
 SEMICIRCLE_MOMENTS = (0.0, 1.0, 0.0, 2.0, 0.0, 5.0)
@@ -29,6 +34,15 @@ def rand_b(rng: np.random.Generator, k: int) -> np.ndarray:
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
+
+
+def zero_law(pair: AlgebraPair, truncation: int) -> MomentFunctional:
+    """The zero law, each level a zero-stride view of one zero: it holds no
+    tensor memory whatever its size."""
+    zero = np.zeros((), dtype=complex)
+    return MomentFunctional(pair, truncation, {
+        n: np.broadcast_to(zero, level_shape(pair.k, pair.d, n)) for n in range(1, truncation + 1)
+    })
 
 
 def bvalued_realizable(seed: int, pair: AlgebraPair, trunc: int = 6) -> MomentFunctional:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from ncid.certify import (
 from ncid.convolution import root
 from ncid.cumulants import free_from_moments, functional_of
 from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
-from ncid.errors import CertificateFailed, NCIDError, TruncationExceeded
+from ncid.errors import CertificateFailed, NCIDError, TooLarge, TruncationExceeded
 from ncid.ncfunctions import NilpotentPoint, eval_B, eval_R, eval_cR
 
 from conftest import (
@@ -29,6 +31,7 @@ from conftest import (
     hermitize,
     rand_b,
     relerr,
+    zero_law,
 )
 
 
@@ -384,3 +387,28 @@ def test_conjugate_matches_direct_evaluation(pair22):
     got = conjugate(mf, u).eval_word(bs)
     moved = [u.conj().T @ b @ u for b in bs[:-1]] + [u.conj().T @ bs[-1]]
     assert relerr(got, u @ mf.eval_word(moved)) < 1e-12
+
+
+def test_oversized_grams_are_refused_before_allocation(pair22):
+    # certify --degree 6 at k = 2 asks for 5460 words: a 10920^2 complex Gram
+    # of 1.9 GB, held four times over.  The zero-stride law holds nothing, so
+    # the traced peak shows that no Gram array was made.
+    law = zero_law(pair22, 12)
+    zero = np.zeros((), dtype=complex)
+    sigma = SigmaForm(pair22, "D", 10, {m: np.broadcast_to(zero, (4,) * (m + 1) + (2, 2))
+                                         for m in range(11)})
+    refusals = (
+        lambda: gram(law, 6),
+        lambda: certify("boolean", law, 6),
+        lambda: certify("condition1", law, 6),
+        lambda: sigma_gram(sigma, 5),
+    )
+    tracemalloc.start()
+    try:
+        for refuse in refusals:
+            with pytest.raises(TooLarge):
+                refuse()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

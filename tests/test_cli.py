@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from ncid.algebra import AlgebraPair
 from ncid.serialize import dumps, functional_to_json
+
+from conftest import zero_law
 
 CLI = [sys.executable, "-m", "ncid.cli"]
 
@@ -153,13 +156,23 @@ def test_check_refuses_orders_below_one(semi_path, identity, order):
 def test_check_order_bounds_of_axioms_and_tensor(semi_path, seed):
     # semi_path has truncation 6: axioms need 2 * order - 1 <= 6, tensor order <= 6
     for identity, order, error in (("axioms", "4", "OrderExceedsTruncation"),
-                                   ("tensor", "7", "TruncationExceeded")):
+                                   ("tensor", "7", "OrderExceedsTruncation")):
         out = run_cli("check", "--identity", identity, "--order", order, "--seed", seed, semi_path)
         assert out.returncode == 1, out.stdout
         assert json.loads(out.stdout)["error"]["type"] == error
         assert out.stderr == ""
     out = run_cli("check", "--identity", "tensor", "--order", "6", "--seed", seed, semi_path)
     assert out.returncode == 0 and json.loads(out.stdout)["pass"] is True
+
+
+def test_certify_refuses_oversized_gram(tmp_path):
+    # k = 16 at degree 1 pairs 512 words of 16 x 16 blocks: 4 GiB of Gram arrays
+    path = tmp_path / "wide.json"
+    path.write_text(dumps(functional_to_json(zero_law(AlgebraPair.identity(16), 2))))
+    out = run_cli("certify", "--kind", "boolean", "--degree", "1", str(path))
+    assert out.returncode == 1, out.stdout
+    assert json.loads(out.stdout)["error"]["type"] == "TooLarge"
+    assert out.stderr == ""
 
 
 def test_check_cfree_needs_aux(semi_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from ncid.certify import SigmaForm, family_from_levy_hincin
 from ncid.convolution import boolean_convolve, cfree_convolve, free_convolve, root
 from ncid.cumulants import moments_from_cfree, moments_from_free
 from ncid.distribution import generate_realizable, scalar_from_moments
-from ncid.errors import DepthExceeded, DimensionMismatch, GramNotPSD
+from ncid.errors import DepthExceeded, DimensionMismatch, GramNotPSD, TooLarge
 from ncid.fock import (
     _h_degree,
     boolean_root_model,
@@ -332,3 +334,18 @@ def test_root_models_match_convolution_roots(mu22, pair22):
         assert relerr(model_moment(fmodel, w), froot.eval_word(w)) < 1e-10
         assert relerr(model_moment(cmodel, w, state="theta"), cmu.eval_word(w)) < 1e-10
         assert relerr(model_moment(cmodel, w, state="phi"), cnu.eval_word(w)) < 1e-10
+
+
+def test_oversized_fock_matrices_are_refused_before_allocation(mu22):
+    # 5461 boolean keys up to degree 6 at k = 2 tile a 10922^2 complex matrix
+    model = build_boolean(mu22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            gram_matrix(model, 6)
+        with pytest.raises(TooLarge):
+            operator_matrix(model, "annihilate", 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**23

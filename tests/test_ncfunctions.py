@@ -43,8 +43,9 @@ def rand_coeffs(seed: int, k: int, n: int) -> list:
 
 
 def test_point_rejects_non_strict_triangles():
+    # no order of the indices makes a 2-cycle or a diagonal block strictly upper
     bad = np.zeros((2, 2, 1, 1), dtype=complex)
-    bad[1, 0] = 1.0
+    bad[0, 1] = bad[1, 0] = 1.0
     with pytest.raises(DimensionMismatch):
         NilpotentPoint.from_entries(bad)
     diag = np.zeros((2, 2, 1, 1), dtype=complex)
@@ -53,6 +54,18 @@ def test_point_rejects_non_strict_triangles():
         NilpotentPoint.from_entries(diag)
     with pytest.raises(DimensionMismatch):
         NilpotentPoint.from_entries(np.zeros((2, 3, 1, 1)))
+
+
+def test_lower_point_matches_its_reversed_upper_twin(mu22):
+    # A strictly lower point is accepted: reversing its indices gives a
+    # strictly upper twin, and the transforms follow the reversal back.
+    upper = NilpotentPoint.random(np.random.default_rng(8), 5, 2, scale=0.7)
+    lower = NilpotentPoint.from_entries(upper.entries[::-1, ::-1])
+    assert np.abs(np.triu(np.abs(lower.entries).max(axis=(2, 3)))).max() == 0
+    assert lower.index == upper.index
+    for evaluate in (eval_M, eval_B, eval_R):
+        want = evaluate(mu22, upper)[::-1, ::-1]
+        assert relerr(evaluate(mu22, lower), want) < 1e-13, evaluate.__name__
 
 
 def test_nilpotency_index():
@@ -207,7 +220,7 @@ def test_axioms_need_twice_the_order_minus_one_levels(seed):
 def test_tensor_order_is_bounded_by_the_truncation():
     mu = generate_realizable(3, AlgebraPair.identity(1), 6, 2)
     assert tensor_compatibility(mu, 2, order=6, probes=3)["pass"]
-    with pytest.raises(TruncationExceeded):
+    with pytest.raises(OrderExceedsTruncation):
         tensor_compatibility(mu, 2, order=7, probes=3)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ncid.algebra import AlgebraPair
 from ncid.distribution import generate_realizable
-from ncid.errors import GroundSetMismatch, TooLarge
+from ncid.errors import GroundSetMismatch, NotComparable, TooLarge
 from ncid.nclattice import (
     MAX_GROUND_SET,
     NCPartition,
@@ -39,6 +39,27 @@ def order_matrix(parts) -> np.ndarray:
             if leq(a, b):
                 out[i, j] = 1
     return out
+
+
+def moebius_by_recursion(parts) -> np.ndarray:
+    """The defining recursion sum_{sigma <= tau <= pi} moeb(sigma, tau) =
+    [sigma == pi], solved over a whole lattice; zero on incomparable pairs."""
+    zeta = order_matrix(parts)
+    finer_first = sorted(range(len(parts)), key=lambda i: -len(parts[i].blocks))
+    moeb = np.zeros_like(zeta)
+    for i in range(len(parts)):
+        for j in finer_first:
+            if zeta[i, j]:
+                # every tau strictly between i and j has more blocks, so is already set
+                moeb[i, j] = 1 if i == j else -(moeb[i] @ zeta[:, j])
+    return moeb
+
+
+def restricted(sigma: NCPartition, block: tuple) -> NCPartition:
+    """The blocks of sigma inside block, relabelled to 1..len(block)."""
+    label = {e: i for i, e in enumerate(block, 1)}
+    inside = [tuple(label[e] for e in b) for b in sigma.blocks if b[0] in label]
+    return NCPartition.from_blocks(len(block), inside)
 
 
 def test_counts_match_catalan():
@@ -102,6 +123,42 @@ def test_moebius_bound_four_to_n():
         top = full_partition(n)
         for sigma in enumerate_nc(n):
             assert abs(moebius(sigma, top)) <= 4**n
+
+
+def test_moebius_matches_recursion_on_every_comparable_pair():
+    for n in range(1, 7):
+        parts = enumerate_nc(n)
+        zeta = order_matrix(parts)
+        want = moebius_by_recursion(parts)
+        for i, j in np.argwhere(zeta):
+            assert moebius(parts[i], parts[j]) == want[i, j], (parts[i], parts[j])
+
+
+def test_moebius_bottom_to_top_up_to_the_largest_ground_set():
+    for n in range(1, MAX_GROUND_SET + 1):
+        want = (-1) ** (n - 1) * catalan(n - 1)
+        assert moebius(discrete_partition(n), full_partition(n)) == want
+
+
+def test_moebius_is_multiplicative_over_the_blocks_of_pi():
+    for n in (5, 7):
+        parts = enumerate_nc(n)
+        for pi in parts[:: max(1, len(parts) // 40)]:
+            for sigma in parts:
+                if not leq(sigma, pi):
+                    continue
+                want = 1
+                for block in pi.blocks:
+                    want *= moebius(restricted(sigma, block), full_partition(len(block)))
+                assert moebius(sigma, pi) == want, (sigma, pi)
+
+
+def test_moebius_rejects_incomparable_pairs():
+    parts = enumerate_nc(5)
+    zeta = order_matrix(parts)
+    for i, j in np.argwhere(zeta == 0):
+        with pytest.raises(NotComparable):
+            moebius(parts[i], parts[j])
 
 
 @settings(max_examples=15, deadline=None)
