@@ -14,6 +14,12 @@ cfree     ('D', htuple)           first summand, coordinate in D
           ('K', htuple, kw)       third summand with a single K-leg word,
                                   coordinate in D
 
+The operator table _OPS lists each kind's operators in the order the
+represented variable sums them, with the root-scale key of each.  The c-free
+H side is the free model's H-tensor with a D-vacuum or a K-leg word beside
+it, so its four H operators are the free ones (_apply_op_h); only the K-leg
+operators are its own.
+
 Multi-component models share one vacuum; a component's operators act only on
 its own letters, which is exactly what makes the mixed moments factor the
 way the corresponding independence demands.
@@ -29,6 +35,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, AlgebraPair, block_matrix, psd_floor, require_hermitian
 from .certify import (
     SigmaForm,
+    _word_blocks,
     check_gram_size,
     gram,
     hermitian_gram,
@@ -45,18 +52,16 @@ from .errors import (
     TruncationExceeded,
 )
 
-_BOOL_OPS = ("annihilate", "create", "gauge", "transfer")
-_FREE_OPS = ("annihilate", "create", "gauge", "insert")
-_CFREE_OPS = (
-    "h_annihilate",
-    "h_create",
-    "gauge_h",
-    "h_insert",
-    "k_annihilate",
-    "k_create",
-    "gauge_k",
-    "k_insert",
-)
+_OPS = {
+    "boolean": (("annihilate", "ann"), ("create", "cre"), ("gauge", "gauge"), ("transfer", None)),
+    "free": (("annihilate", "ann"), ("create", "cre"), ("gauge", "gauge"), ("insert", None)),
+    "cfree": (
+        ("h_annihilate", "ann"), ("h_create", "cre"), ("gauge_h", "gauge"), ("h_insert", None),
+        ("k_annihilate", "ann"), ("k_create", "cre"), ("gauge_k", "gauge"), ("k_insert", None),
+    ),
+}
+# the c-free H-side operators and the free operators they run
+_H_SIDE = {"h_annihilate": "annihilate", "h_create": "create", "gauge_h": "gauge", "h_insert": "insert"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +106,43 @@ def _check_gram_psd(mat: np.ndarray, what: str, tol: float = DEFAULT_TOL) -> Non
 # construction
 
 
+def _components(items) -> list:
+    items = list(items)
+    if not items:
+        raise DimensionMismatch("a Fock model needs at least one component")
+    return items
+
+
+def _model(kind: str, pair: AlgebraPair, comps: list, depth) -> FockModel:
+    if depth is None:
+        depth = min(c["sigma"].truncation for c in comps) + 2
+    scales = tuple({"ann": 1.0, "cre": 1.0, "gauge": 1.0} for _ in comps)
+    return FockModel(kind=kind, pair=pair, depth=depth, components=tuple(comps), scales=scales)
+
+
+def _side(pair: AlgebraPair, alpha, sigma: SigmaForm, values_in: str, what: str):
+    """Check one (alpha, sigma) side of a free or c-free component; return
+    alpha and its annihilation table: alpha at 1, sigma level m at m + 2."""
+    if sigma.values_in != values_in:
+        raise DimensionMismatch(f"{what} sigma form must be {values_in}-valued")
+    if not pair.same_pair(sigma.pair):
+        raise DimensionMismatch("model components over different pairs")
+    v = sigma.value_dim
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.shape != (v, v):
+        raise DimensionMismatch(f"{what} alpha must be {v} x {v}")
+    require_hermitian(alpha)
+    mat, _ = sigma_gram(sigma, sigma.truncation // 2)
+    _check_gram_psd(mat, f"{what} sigma Gram")
+    table = {1: alpha}
+    table.update((m + 2, sigma.levels[m]) for m in range(sigma.truncation + 1))
+    return alpha, table
+
+
 def boolean_sum_model(mus, depth: int | None = None) -> FockModel:
-    mus = list(mus)
+    """Boolean model of one or more laws; its depth is at most the smallest
+    truncation, since deeper words would need moments that are not stored."""
+    mus = _components(mus)
     pair = mus[0].pair
     for mu in mus[1:]:
         if not pair.same_pair(mu.pair):
@@ -110,6 +150,8 @@ def boolean_sum_model(mus, depth: int | None = None) -> FockModel:
     trunc = min(mu.truncation for mu in mus)
     if depth is None:
         depth = trunc
+    elif depth > trunc:
+        raise TruncationExceeded(f"boolean model depth {depth} exceeds the truncation {trunc}")
     comps = []
     for mu in mus:
         check_deg = min(depth, mu.truncation // 2)
@@ -117,47 +159,21 @@ def boolean_sum_model(mus, depth: int | None = None) -> FockModel:
             mat, _ = gram(mu, check_deg, no_free_term=False)
             _check_gram_psd(mat, "input moment Gram")
         comps.append({"levels": dict(mu.levels), "trunc": mu.truncation})
-    scales = tuple({"ann": 1.0, "cre": 1.0, "gauge": 1.0} for _ in comps)
-    return FockModel(
-        kind="boolean", pair=pair, depth=depth, components=tuple(comps), scales=scales
-    )
+    return _model("boolean", pair, comps, depth)
 
 
 def build_boolean(mu: MomentFunctional, depth: int | None = None) -> FockModel:
     return boolean_sum_model([mu], depth)
 
 
-def _kb_table(alpha: np.ndarray, sigma: SigmaForm) -> dict:
-    table = {1: np.asarray(alpha, dtype=complex)}
-    for m in range(sigma.truncation + 1):
-        table[m + 2] = sigma.levels[m]
-    return table
-
-
 def free_sum_model(datas, depth: int | None = None) -> FockModel:
-    datas = list(datas)
+    datas = _components(datas)
     pair = datas[0][1].pair
     comps = []
     for alpha, sigma in datas:
-        if sigma.values_in != "B":
-            raise DimensionMismatch("free model sigma form must be B-valued")
-        if not pair.same_pair(sigma.pair):
-            raise DimensionMismatch("model components over different pairs")
-        alpha = np.asarray(alpha, dtype=complex)
-        if alpha.shape != (pair.k, pair.k):
-            raise DimensionMismatch("free model alpha must be k x k")
-        require_hermitian(alpha)
-        check_deg = sigma.truncation // 2
-        if check_deg >= 0:
-            mat, _ = sigma_gram(sigma, check_deg)
-            _check_gram_psd(mat, "sigma form Gram")
-        comps.append({"alpha": alpha, "kb": _kb_table(alpha, sigma), "sigma": sigma})
-    if depth is None:
-        depth = min(c["sigma"].truncation for c in comps) + 2
-    scales = tuple({"ann": 1.0, "cre": 1.0, "gauge": 1.0} for _ in comps)
-    return FockModel(
-        kind="free", pair=pair, depth=depth, components=tuple(comps), scales=scales
-    )
+        alpha, kb = _side(pair, alpha, sigma, "B", "free model")
+        comps.append({"alpha": alpha, "kb": kb, "sigma": sigma})
+    return _model("free", pair, comps, depth)
 
 
 def build_free(alpha, sigma: SigmaForm, depth: int | None = None) -> FockModel:
@@ -165,51 +181,25 @@ def build_free(alpha, sigma: SigmaForm, depth: int | None = None) -> FockModel:
 
 
 def cfree_sum_model(datas, depth: int | None = None) -> FockModel:
-    datas = list(datas)
+    """c-free model: the H side is stored under the free model's keys
+    (alpha, kb, sigma), the K leg under alpha2 and ckd."""
+    datas = _components(datas)
     pair = datas[0][1].pair
     comps = []
     for alpha1, sigma1, alpha2, sigma2 in datas:
-        if sigma1.values_in != "B" or sigma2.values_in != "D":
-            raise DimensionMismatch(
-                "c-free model needs a B-valued and a D-valued sigma form"
-            )
-        if not (pair.same_pair(sigma1.pair) and pair.same_pair(sigma2.pair)):
-            raise DimensionMismatch("model components over different pairs")
-        alpha1 = np.asarray(alpha1, dtype=complex)
-        alpha2 = np.asarray(alpha2, dtype=complex)
-        if alpha1.shape != (pair.k, pair.k):
-            raise DimensionMismatch("c-free alpha1 must be k x k")
-        if alpha2.shape != (pair.d, pair.d):
-            raise DimensionMismatch("c-free alpha2 must be d x d")
-        require_hermitian(alpha1)
-        require_hermitian(alpha2)
-        mat1, _ = sigma_gram(sigma1, sigma1.truncation // 2)
-        _check_gram_psd(mat1, "free-side sigma Gram")
-        mat2, _ = sigma_gram(sigma2, sigma2.truncation // 2)
-        _check_gram_psd(mat2, "c-free-side sigma Gram")
-        comps.append(
-            {
-                "alpha1": alpha1,
-                "kb": _kb_table(alpha1, sigma1),
-                "sigma1": sigma1,
-                "alpha2": alpha2,
-                "ckd": _kb_table(alpha2, sigma2),
-                "sigma2": sigma2,
-            }
-        )
-    if depth is None:
-        depth = min(c["sigma1"].truncation for c in comps) + 2
-    scales = tuple({"ann": 1.0, "cre": 1.0, "gauge": 1.0} for _ in comps)
-    return FockModel(
-        kind="cfree", pair=pair, depth=depth, components=tuple(comps), scales=scales
-    )
+        alpha1, kb = _side(pair, alpha1, sigma1, "B", "c-free free-side")
+        alpha2, ckd = _side(pair, alpha2, sigma2, "D", "c-free c-free-side")
+        comps.append({"alpha": alpha1, "kb": kb, "sigma": sigma1, "alpha2": alpha2, "ckd": ckd})
+    return _model("cfree", pair, comps, depth)
 
 
 def build_cfree(alpha1, sigma1, alpha2, sigma2, depth: int | None = None) -> FockModel:
     return cfree_sum_model([(alpha1, sigma1, alpha2, sigma2)], depth)
 
 
-def _rescaled(model: FockModel, n: int) -> FockModel:
+def _rescaled(model: FockModel, n: int, kind: str) -> FockModel:
+    if model.kind != kind:
+        raise NCIDError(f"{kind}_root_model needs a {kind} model")
     if n < 1:
         raise NCIDError(f"root order must be >= 1, got {n}")
     rs = 1.0 / sqrt(n)
@@ -223,21 +213,15 @@ def _rescaled(model: FockModel, n: int) -> FockModel:
 def boolean_root_model(model: FockModel, n: int) -> FockModel:
     """Model of the n-th boolean convolution root: a, a* scale by 1/sqrt(n),
     the gauge part by 1/n, the transfer part not at all."""
-    if model.kind != "boolean":
-        raise NCIDError("boolean_root_model needs a boolean model")
-    return _rescaled(model, n)
+    return _rescaled(model, n, "boolean")
 
 
 def free_root_model(model: FockModel, n: int) -> FockModel:
-    if model.kind != "free":
-        raise NCIDError("free_root_model needs a free model")
-    return _rescaled(model, n)
+    return _rescaled(model, n, "free")
 
 
 def cfree_root_model(model: FockModel, n: int) -> FockModel:
-    if model.kind != "cfree":
-        raise NCIDError("cfree_root_model needs a c-free model")
-    return _rescaled(model, n)
+    return _rescaled(model, n, "cfree")
 
 
 # ---------------------------------------------------------------------------
@@ -258,52 +242,61 @@ def vacuum_vector(model: FockModel, state: str = "phi") -> dict:
     return {(): np.eye(model.pair.k, dtype=complex)}
 
 
+def _h_degree(htuple) -> int:
+    return sum(len(h[1]) for h in htuple)
+
+
+def _h_parts(kind: str, key):
+    """(h, wrap, kw) of a free or c-free key: its H-tensor h, the map that
+    puts a tensor back in h's place (tuple, the identity, on a free key) and
+    the K-leg word (None off the K leg).  None for the theta vacuum ('O',)."""
+    if kind == "free":
+        return key, tuple, None
+    if key[0] == "D":
+        return key[1], lambda h: ("D", h), None
+    if key[0] == "K":
+        return key[1], lambda h: ("K", h, key[2]), key[2]
+    return None
+
+
+def _lmult(model: FockModel, val: np.ndarray, h: tuple, wrap, kw, c, out: dict) -> None:
+    """Add val (h c) to out for a B-value val: val borders the first factor
+    of h; past the tensor it lands on the free vacuum coordinate, on the
+    c-free D-vacuum through the embedding, or on the K-leg word."""
+    k = model.pair.k
+    if h:
+        tag, w = h[0]
+        for coef, w2 in _border(val, w, k):
+            _vadd(out, wrap(((tag, w2),) + h[1:]), coef * c)
+    elif kw is not None:
+        tag, w = kw
+        for coef, w2 in _border(val, w, k):
+            _vadd(out, ("K", (), (tag, w2)), coef * c)
+    elif model.kind == "free":
+        _vadd(out, (), val @ c)
+    else:
+        _vadd(out, ("D", ()), model.pair.embed(val) @ c)
+
+
 def apply_coefficient(model: FockModel, vec: dict, b) -> dict:
     b = np.asarray(b, dtype=complex)
     k = model.pair.k
     out: dict = {}
-    if model.kind == "boolean":
-        eb = model.pair.embed(b)
-        for key, c in vec.items():
+    for key, c in vec.items():
+        if model.kind == "boolean":
             if key == ():
-                _vadd(out, key, eb @ c)
+                _vadd(out, key, model.pair.embed(b) @ c)
             else:
                 tag, w = key
                 for coef, w2 in _border(b, w, k):
                     _vadd(out, (tag, w2), coef * c)
-    elif model.kind == "free":
-        for key, c in vec.items():
-            if key == ():
-                _vadd(out, key, b @ c)
-            else:
-                tag, w = key[0]
-                for coef, w2 in _border(b, w, k):
-                    _vadd(out, ((tag, w2),) + key[1:], coef * c)
-    else:
-        eb = model.pair.embed(b)
-        for key, c in vec.items():
-            if key == ("O",) or key == ("D", ()):
-                _vadd(out, key, eb @ c)
-            elif key[0] == "D":
-                h = key[1]
-                tag, w = h[0]
-                for coef, w2 in _border(b, w, k):
-                    _vadd(out, ("D", ((tag, w2),) + h[1:]), coef * c)
-            else:
-                _, h, kw = key
-                if h:
-                    tag, w = h[0]
-                    for coef, w2 in _border(b, w, k):
-                        _vadd(out, ("K", ((tag, w2),) + h[1:], kw), coef * c)
-                else:
-                    tag, w = kw
-                    for coef, w2 in _border(b, w, k):
-                        _vadd(out, ("K", (), (tag, w2)), coef * c)
+            continue
+        parts = _h_parts(model.kind, key)
+        if parts is None:
+            _vadd(out, key, model.pair.embed(b) @ c)
+        else:
+            _lmult(model, b, *parts, c, out)
     return _clean(out)
-
-
-def _h_degree(htuple) -> int:
-    return sum(len(h[1]) for h in htuple)
 
 
 def _bool_word_moment(comp: dict, w: tuple, pair: AlgebraPair) -> np.ndarray:
@@ -317,8 +310,9 @@ def _bool_word_moment(comp: dict, w: tuple, pair: AlgebraPair) -> np.ndarray:
 
 
 def _bool_q(comp: dict, w: tuple, pair: AlgebraPair) -> np.ndarray:
-    """Centered return mu(Xw) - mu(X) mu(w); levels past the truncation are
-    unreachable inside the exact grading window and count as zero."""
+    """Centered return mu(Xw) - mu(X) mu(w).  model_moment never reads a
+    level past the truncation, as the depth is at most the truncation; on
+    an operator_matrix basis capped above it, such levels count as zero."""
     j = len(w)
     lev = comp["levels"]
     d = pair.d
@@ -329,7 +323,7 @@ def _bool_q(comp: dict, w: tuple, pair: AlgebraPair) -> np.ndarray:
     return mxw
 
 
-def _apply_op_boolean(model, name, vec, t, sink) -> dict:
+def _apply_op_boolean(model, name, vec, t) -> dict:
     """Operators on centered word labels: the key (t, w) stands for the
     vector w - mu_t(w) vacuum, which is orthogonal to the vacuum.  Left
     coefficient multiplication maps centered labels to centered labels, the
@@ -355,8 +349,6 @@ def _apply_op_boolean(model, name, vec, t, sink) -> dict:
             if len(w) + 1 <= model.depth:
                 for i in range(k):
                     _vadd(out, (t, (i * k + i,) + w), c)
-            elif sink is not None:
-                sink.append(key)
             if len(w) <= comp["trunc"]:
                 mw = _bool_word_moment(comp, w, model.pair)
                 for i in range(k):
@@ -372,188 +364,72 @@ def _free_annihilate_value(comp: dict, w: tuple, k: int) -> np.ndarray:
     return kb[j + 1][w] if j > 0 else kb[1]
 
 
-def _lmult_tensor(val: np.ndarray, rest: tuple, c, k: int, out: dict, prefix=()):
-    """Left-multiply a tensor key by a B-value, absorbing into the next factor
-    or the vacuum coordinate."""
-    if not rest:
-        _vadd(out, prefix if prefix else (), val @ c)
-        return
-    tag, w = rest[0]
-    for coef, w2 in _border(val, w, k):
-        _vadd(out, prefix + ((tag, w2),) + rest[1:], coef * c)
-
-
-def _apply_op_free(model, name, vec, t, sink) -> dict:
+def _apply_op_h(model, name, vec, t) -> dict:
+    """A free operator of component t on the H-tensor of each key: the free
+    model's operators, and the c-free H side on its first and third
+    summands.  A K-leg word counts towards the depth."""
     comp = model.components[t]
     k = model.pair.k
     out: dict = {}
-    alpha = comp["alpha"]
     for key, c in vec.items():
+        parts = _h_parts(model.kind, key)
+        if parts is None:
+            continue
+        h, wrap, kw = parts
+        degree = _h_degree(h) + (len(kw[1]) if kw else 0)
         if name == "create":
-            if _h_degree(key) + 1 <= model.depth:
+            if degree + 1 <= model.depth:
                 for i in range(k):
-                    _vadd(out, ((t, (i * k + i,)),) + key, c)
-            elif sink is not None:
-                sink.append(key)
-            continue
-        if name == "gauge":
+                    _vadd(out, wrap(((t, (i * k + i,)),) + h), c)
+        elif name == "gauge":
             # left multiplication by alpha on the whole module
-            if key == ():
-                _vadd(out, (), alpha @ c)
-            else:
-                _lmult_tensor(alpha, key, c, k, out)
-            continue
-        if key == ():
-            continue
-        tag, w = key[0]
-        if tag != t:
-            continue
-        if name == "annihilate":
-            val = _free_annihilate_value(comp, w, k)
-            _lmult_tensor(val, key[1:], c, k, out)
-        elif name == "insert":
-            if _h_degree(key) + 1 <= model.depth:
+            _lmult(model, comp["alpha"], h, wrap, kw, c, out)
+        elif h and h[0][0] == t:
+            w = h[0][1]
+            if name == "annihilate":
+                _lmult(model, _free_annihilate_value(comp, w, k), h[1:], wrap, kw, c, out)
+            elif degree + 1 <= model.depth:
                 for i in range(k):
-                    _vadd(out, ((t, (i * k + i,) + w),) + key[1:], c)
-            elif sink is not None:
-                sink.append(key)
+                    _vadd(out, wrap(((t, (i * k + i,) + w),) + h[1:]), c)
     return _clean(out)
 
 
-def _apply_op_cfree(model, name, vec, t, sink) -> dict:
+def _apply_op_k(model, name, vec, t) -> dict:
+    """The c-free K-leg operators of component t: they act on the theta
+    vacuum and on K-leg words with nothing on the H side."""
     comp = model.components[t]
     k = model.pair.k
     out: dict = {}
-    alpha1, alpha2 = comp["alpha1"], comp["alpha2"]
     for key, c in vec.items():
-        part = key[0]
-        if name == "h_create":
-            if part == "O":
-                continue
-            h = key[1]
-            kw_deg = 0 if part == "D" else len(key[2][1])
-            if _h_degree(h) + kw_deg + 1 <= model.depth:
-                for i in range(k):
-                    nk = (part, ((t, (i * k + i,)),) + h) if part == "D" else (
-                        "K",
-                        ((t, (i * k + i,)),) + h,
-                        key[2],
-                    )
-                    _vadd(out, nk, c)
-            elif sink is not None:
-                sink.append(key)
-        elif name == "h_annihilate":
-            if part == "O":
-                continue
-            h = key[1]
-            if not h or h[0][0] != t:
-                continue
-            val = _free_annihilate_value(comp, h[0][1], k)
-            rest = h[1:]
-            if part == "D":
-                if rest:
-                    sub: dict = {}
-                    _lmult_tensor(val, rest, c, k, sub)
-                    for kk, vv in sub.items():
-                        _vadd(out, ("D", kk), vv)
-                else:
-                    _vadd(out, ("D", ()), model.pair.embed(val) @ c)
-            else:
-                kw = key[2]
-                if rest:
-                    sub = {}
-                    _lmult_tensor(val, rest, c, k, sub)
-                    for kk, vv in sub.items():
-                        _vadd(out, ("K", kk, kw), vv)
-                else:
-                    tag2, w2 = kw
-                    for coef, w3 in _border(val, w2, k):
-                        _vadd(out, ("K", (), (tag2, w3)), coef * c)
-        elif name == "gauge_h":
-            if part == "O":
-                continue
-            h = key[1]
-            if part == "D":
-                if not h:
-                    _vadd(out, key, model.pair.embed(alpha1) @ c)
-                else:
-                    sub = {}
-                    _lmult_tensor(alpha1, h, c, k, sub)
-                    for kk, vv in sub.items():
-                        _vadd(out, ("D", kk), vv)
-            else:
-                kw = key[2]
-                if not h:
-                    tag2, w2 = kw
-                    for coef, w3 in _border(alpha1, w2, k):
-                        _vadd(out, ("K", (), (tag2, w3)), coef * c)
-                else:
-                    sub = {}
-                    _lmult_tensor(alpha1, h, c, k, sub)
-                    for kk, vv in sub.items():
-                        _vadd(out, ("K", kk, kw), vv)
-        elif name == "h_insert":
-            if part == "O":
-                continue
-            h = key[1]
-            if not h or h[0][0] != t:
-                continue
-            kw_deg = 0 if part == "D" else len(key[2][1])
-            if _h_degree(h) + kw_deg + 1 <= model.depth:
-                tag0, w0 = h[0]
-                for i in range(k):
-                    nh = ((tag0, (i * k + i,) + w0),) + h[1:]
-                    nk = ("D", nh) if part == "D" else ("K", nh, key[2])
-                    _vadd(out, nk, c)
-            elif sink is not None:
-                sink.append(key)
-        elif name == "k_create":
-            if part != "O":
-                continue
-            if 1 <= model.depth:
+        if key == ("O",):
+            if name == "k_create" and model.depth >= 1:
                 for i in range(k):
                     _vadd(out, ("K", (), (t, (i * k + i,))), c)
-            elif sink is not None:
-                sink.append(key)
-        elif name == "k_annihilate":
-            if part != "K" or key[1]:
-                continue
-            tag2, w2 = key[2]
-            if tag2 != t:
-                continue
-            j = len(w2)
+            elif name == "gauge_k":
+                _vadd(out, key, comp["alpha2"] @ c)
+            continue
+        if key[0] != "K" or key[1] or key[2][0] != t:
+            continue
+        w = key[2][1]
+        if name == "k_annihilate":
             ckd = comp["ckd"]
-            if j + 1 in ckd:
-                val = ckd[j + 1][w2] if j > 0 else ckd[1]
-                _vadd(out, ("O",), val @ c)
-        elif name == "gauge_k":
-            if part == "O":
-                _vadd(out, key, alpha2 @ c)
-        elif name == "k_insert":
-            if part != "K" or key[1]:
-                continue
-            tag2, w2 = key[2]
-            if tag2 != t:
-                continue
-            if len(w2) + 1 <= model.depth:
-                for i in range(k):
-                    _vadd(out, ("K", (), (tag2, (i * k + i,) + w2)), c)
-            elif sink is not None:
-                sink.append(key)
+            if len(w) + 1 in ckd:
+                _vadd(out, ("O",), (ckd[len(w) + 1][w] if w else ckd[1]) @ c)
+        elif name == "k_insert" and len(w) + 1 <= model.depth:
+            for i in range(k):
+                _vadd(out, ("K", (), (t, (i * k + i,) + w)), c)
     return _clean(out)
 
 
-def apply_op(model: FockModel, name: str, vec: dict, component: int = 0, sink=None) -> dict:
+def apply_op(model: FockModel, name: str, vec: dict, component: int = 0) -> dict:
     """Apply one structural operator of a component to a sparse vector."""
-    valid = {"boolean": _BOOL_OPS, "free": _FREE_OPS, "cfree": _CFREE_OPS}[model.kind]
-    if name not in valid:
+    if name not in [op for op, _ in _OPS[model.kind]]:
         raise NCIDError(f"unknown {model.kind} operator {name!r}")
-    fn = {
-        "boolean": _apply_op_boolean,
-        "free": _apply_op_free,
-        "cfree": _apply_op_cfree,
-    }[model.kind]
-    return fn(model, name, vec, component, sink)
+    if model.kind == "boolean":
+        return _apply_op_boolean(model, name, vec, component)
+    if model.kind == "cfree" and name not in _H_SIDE:
+        return _apply_op_k(model, name, vec, component)
+    return _apply_op_h(model, _H_SIDE.get(name, name), vec, component)
 
 
 def _vsum(vecs) -> dict:
@@ -572,44 +448,23 @@ def _vscale(vec: dict, s) -> dict:
     return {k: s * v for k, v in vec.items()}
 
 
-def apply_generator(model: FockModel, vec: dict, component=None, sink=None) -> dict:
+def apply_generator(model: FockModel, vec: dict, component=None) -> dict:
     """One application of the represented variable (or of one component's)."""
     tags = range(len(model.components)) if component is None else [component]
     parts = []
     for t in tags:
-        s = model.scales[t]
-        if model.kind == "boolean":
-            parts.append(_vscale(apply_op(model, "annihilate", vec, t, sink), s["ann"]))
-            parts.append(_vscale(apply_op(model, "create", vec, t, sink), s["cre"]))
-            parts.append(_vscale(apply_op(model, "gauge", vec, t, sink), s["gauge"]))
-            parts.append(apply_op(model, "transfer", vec, t, sink))
-        elif model.kind == "free":
-            parts.append(_vscale(apply_op(model, "annihilate", vec, t, sink), s["ann"]))
-            parts.append(_vscale(apply_op(model, "create", vec, t, sink), s["cre"]))
-            parts.append(_vscale(apply_op(model, "gauge", vec, t, sink), s["gauge"]))
-            parts.append(apply_op(model, "insert", vec, t, sink))
-        else:
-            for nm, sc in (
-                ("h_annihilate", s["ann"]),
-                ("h_create", s["cre"]),
-                ("gauge_h", s["gauge"]),
-                ("h_insert", 1.0),
-                ("k_annihilate", s["ann"]),
-                ("k_create", s["cre"]),
-                ("gauge_k", s["gauge"]),
-                ("k_insert", 1.0),
-            ):
-                parts.append(_vscale(apply_op(model, nm, vec, t, sink), sc))
+        for name, scale in _OPS[model.kind]:
+            part = apply_op(model, name, vec, t)
+            parts.append(part if scale is None else _vscale(part, model.scales[t][scale]))
     return _vsum(parts)
 
 
 def extract_state(model: FockModel, vec: dict, state: str = "phi") -> np.ndarray:
     d = model.pair.d
     if model.kind == "cfree":
-        key = ("D", ()) if state == "phi" else ("O",)
         if state not in ("phi", "theta"):
             raise NCIDError(f"unknown state {state!r}")
-        return vec.get(key, np.zeros((d, d), dtype=complex))
+        return vec.get(("D", ()) if state == "phi" else ("O",), np.zeros((d, d), dtype=complex))
     if state != "phi":
         raise NCIDError(f"{model.kind} models only carry the phi state")
     if model.kind == "free":
@@ -619,13 +474,7 @@ def extract_state(model: FockModel, vec: dict, state: str = "phi") -> np.ndarray
     return vec.get((), np.zeros((d, d), dtype=complex))
 
 
-def model_moment(
-    model: FockModel,
-    bs,
-    state: str = "phi",
-    components=None,
-    return_drops: bool = False,
-):
+def model_moment(model: FockModel, bs, state: str = "phi", components=None):
     """phi (or theta) value of X b1 X b2 ... X bn in the model.
 
     components optionally assigns each X letter (left to right) to a model
@@ -635,23 +484,41 @@ def model_moment(
     n = len(bs)
     if n > model.depth:
         raise DepthExceeded(f"word degree {n} exceeds model depth {model.depth}")
-    if components is None:
-        components = [None] * n
+    components = [None] * n if components is None else list(components)
     if len(components) != n:
         raise DimensionMismatch("one component tag per letter required")
-    sink: list = []
+    ncomp = len(model.components)
+    for tag in components:
+        if tag is not None and not (isinstance(tag, (int, np.integer)) and 0 <= tag < ncomp):
+            raise DimensionMismatch(f"component tag {tag!r} is not in 0..{ncomp - 1}")
     vec = vacuum_vector(model, state)
-    for b, comp in zip(reversed(bs), reversed(list(components))):
+    for b, comp in zip(reversed(bs), reversed(components)):
         vec = apply_coefficient(model, vec, b)
-        vec = apply_generator(model, vec, component=comp, sink=sink)
-    value = extract_state(model, vec, state)
-    if return_drops:
-        return value, len(sink)
-    return value
+        vec = apply_generator(model, vec, component=comp)
+    return extract_state(model, vec, state)
 
 
 # ---------------------------------------------------------------------------
 # dense matrices
+
+
+def _basis_size(model: FockModel, cap: int) -> int:
+    """len(fock_basis(model, cap)) without listing the keys.
+
+    The components have words_j = ncomp (k^2)^j words of degree j between
+    them, and tensors of total degree n number t_n = sum_j words_j t_(n-j).
+    """
+    cap = max(cap, 0)
+    words = [0] + [len(model.components) * (model.pair.k ** 2) ** j for j in range(1, cap + 1)]
+    if model.kind == "boolean":
+        return 1 + sum(words)
+    tensors = [1]
+    for n in range(1, cap + 1):
+        tensors.append(sum(words[j] * tensors[n - j] for j in range(1, n + 1)))
+    if model.kind == "free":
+        return sum(tensors)
+    k_legs = sum(tensors[hd] * sum(words[1 : cap - hd + 1]) for hd in range(cap))
+    return 1 + sum(tensors) + k_legs
 
 
 def fock_basis(model: FockModel, cap: int):
@@ -697,15 +564,15 @@ def operator_matrix(model: FockModel, name: str, cap: int, component: int = 0):
     Returns (matrix, keys).  Entries are the coordinate blocks: the operator
     maps key j with coordinate C to keys i with coordinate block[i, j] C.
     """
+    v = _coord_dim(model)
+    check_gram_size(_basis_size(model, cap), v, copies=2)  # the blocks and the tiled matrix
     keys = fock_basis(model, cap)
     index = {key: i for i, key in enumerate(keys)}
-    v = _coord_dim(model)
     n = len(keys)
-    check_gram_size(n, v, copies=2)  # the blocks and the tiled matrix
     blocks = np.zeros((n, n, v, v), dtype=complex)
     eye = np.eye(v, dtype=complex)
     for j, key in enumerate(keys):
-        out = apply_op(model, name, {key: eye}, component, None)
+        out = apply_op(model, name, {key: eye}, component)
         for okey, block in out.items():
             i = index.get(okey)
             if i is not None:
@@ -723,50 +590,39 @@ def _free_pairing(model: FockModel, ka: tuple, kb_: tuple) -> np.ndarray:
     (ta, wa), (tb, wb) = ka[0], kb_[0]
     if ta != tb:
         return np.zeros((k, k), dtype=complex)
-    comp = model.components[ta]
-    sig = comp["sigma"] if model.kind == "free" else comp["sigma1"]
-    val = word_pairing(sig.levels, wa, wb, k, shift=2)
+    val = word_pairing(model.components[ta]["sigma"].levels, wa, wb, k, shift=2)
     if val is None:
         return np.zeros((k, k), dtype=complex)
     out: dict = {}
-    _lmult_tensor(val, kb_[1:], np.eye(k, dtype=complex), k, out)
+    _lmult(model, val, kb_[1:], tuple, None, np.eye(k, dtype=complex), out)
     total = np.zeros((k, k), dtype=complex)
     for key2, c in out.items():
-        total = total + _free_pairing(model, ka[1:], key2 if key2 != () else ()) @ c
+        total = total + _free_pairing(model, ka[1:], key2) @ c
     return total
 
 
 def gram_matrix(model: FockModel, cap: int):
     """Gram matrix of the basis keys under the model's inner product."""
-    keys = fock_basis(model, cap)
+    if model.kind == "cfree":
+        raise NCIDError("gram_matrix supports boolean and free models")
     v = _coord_dim(model)
+    check_gram_size(_basis_size(model, cap), v)
+    keys = fock_basis(model, cap)
     n = len(keys)
-    check_gram_size(n, v)
     blocks = np.zeros((n, n, v, v), dtype=complex)
     if model.kind == "boolean":
         # centered pairing: <w', w> = mu(w'* w) - mu(w')* mu(w); the vacuum
         # block is the identity and everything mixed or cross-component is 0
-        pair = model.pair
-        for i, ki in enumerate(keys):
-            for j, kj in enumerate(keys):
-                if ki == () and kj == ():
-                    blocks[i, j] = np.eye(v, dtype=complex)
-                elif ki == () or kj == ():
-                    continue
-                else:
-                    ti, wi = ki
-                    tj, wj = kj
-                    if ti != tj:
-                        continue
-                    comp = model.components[ti]
-                    raw = word_pairing(comp["levels"], wi, wj, pair.k)
-                    a = _bool_word_moment(comp, wi, pair)
-                    b = _bool_word_moment(comp, wj, pair)
-                    blocks[i, j] = (0.0 if raw is None else raw) - a.conj().T @ b
-    elif model.kind == "free":
+        blocks[0, 0] = np.eye(v, dtype=complex)
+        for t, comp in enumerate(model.components):
+            idx = [i for i, key in enumerate(keys) if key and key[0] == t]
+            words = [keys[i][1] for i in idx]
+            means = np.array([_bool_word_moment(comp, w, model.pair) for w in words])
+            sub = _word_blocks(comp["levels"], words, model.pair.k, v, 0)
+            sub -= np.einsum("iba,jbc->ijac", means.conj(), means)
+            blocks[np.ix_(idx, idx)] = sub
+    else:
         for i, ki in enumerate(keys):
             for j, kj in enumerate(keys):
                 blocks[i, j] = _free_pairing(model, ki, kj)
-    else:
-        raise NCIDError("gram_matrix supports boolean and free models")
     return hermitian_gram(blocks), keys

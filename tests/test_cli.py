@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,8 +204,8 @@ def test_extract_free_refusal_emits_certificate(bern_path):
 
 def test_cfree_flows_through_pair_files(workdir, semi_path):
     pair_doc = {
-        "mu": json.loads(open(semi_path).read()),
-        "nu": json.loads(open(semi_path).read()),
+        "mu": json.loads(Path(semi_path).read_text()),
+        "nu": json.loads(Path(semi_path).read_text()),
     }
     ppath = workdir / "pair.json"
     ppath.write_text(json.dumps(pair_doc))

@@ -10,8 +10,15 @@ from ncid.certify import SigmaForm, family_from_levy_hincin
 from ncid.convolution import boolean_convolve, cfree_convolve, free_convolve, root
 from ncid.cumulants import moments_from_cfree, moments_from_free
 from ncid.distribution import generate_realizable, scalar_from_moments
-from ncid.errors import DepthExceeded, DimensionMismatch, GramNotPSD, TooLarge
+from ncid.errors import (
+    DepthExceeded,
+    DimensionMismatch,
+    GramNotPSD,
+    TooLarge,
+    TruncationExceeded,
+)
 from ncid.fock import (
+    _basis_size,
     _h_degree,
     boolean_root_model,
     boolean_sum_model,
@@ -21,6 +28,7 @@ from ncid.fock import (
     cfree_root_model,
     cfree_sum_model,
     free_root_model,
+    fock_basis,
     free_sum_model,
     gram_matrix,
     model_moment,
@@ -162,13 +170,6 @@ def test_empty_word_is_identity(semicircle):
     assert np.array_equal(model_moment(model, []), np.eye(1, dtype=complex))
 
 
-def test_no_truncation_drops(mu22):
-    model = build_boolean(mu22)
-    bs = rand_words(7, 2, 6)
-    value, drops = model_moment(model, bs, return_drops=True)
-    assert drops == 0
-
-
 def test_depth_exceeded(mu22):
     model = build_boolean(mu22, depth=3)
     bs = rand_words(8, 2, 4)
@@ -180,6 +181,29 @@ def test_component_tags_must_match_length(mu22):
     model = build_boolean(mu22)
     with pytest.raises(DimensionMismatch):
         model_moment(model, rand_words(9, 2, 3), components=[0, 0])
+
+
+@pytest.mark.parametrize("tags", [[2], [-1], ["x"], [0.0]])
+def test_component_tags_must_name_a_component(mu22, nu22, tags):
+    model = boolean_sum_model([mu22, nu22])
+    with pytest.raises(DimensionMismatch):
+        model_moment(model, rand_words(9, 2, 1), components=tags)
+
+
+def test_sum_models_need_a_component():
+    for build in (boolean_sum_model, free_sum_model, cfree_sum_model):
+        with pytest.raises(DimensionMismatch):
+            build([])
+
+
+def test_boolean_depth_is_bounded_by_the_truncation(mu22, nu22):
+    # mu22 has truncation 6: degree-7 words would read moments never stored
+    with pytest.raises(TruncationExceeded):
+        build_boolean(mu22, depth=7)
+    short = generate_realizable(8, mu22.pair, 4, ambient=8)
+    with pytest.raises(TruncationExceeded):
+        boolean_sum_model([mu22, short], depth=5)
+    assert boolean_sum_model([mu22, short]).depth == 4
 
 
 def test_truncation_exact_at_extra_depth(mu22, pair22):
@@ -349,3 +373,34 @@ def test_oversized_fock_matrices_are_refused_before_allocation(mu22):
     finally:
         tracemalloc.stop()
     assert peak < 2**23
+
+
+def test_oversized_free_matrices_are_refused_before_listing(pair22):
+    # 149797 free keys up to degree 6 at k = 2: they are counted, not listed
+    model = build_free(*free_levy_hincin_data(50, pair22, 6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            gram_matrix(model, 6)
+        with pytest.raises(TooLarge):
+            operator_matrix(model, "annihilate", 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_basis_size_counts_the_basis(k):
+    pair = AlgebraPair.identity(k)
+    mus = [generate_realizable(s, pair, 4, ambient=4) for s in (7, 8)]
+    frees = [free_levy_hincin_data(s, pair, 4) for s in (50, 51)]
+    cfrees = [f + cfree_levy_hincin_data(s, pair, 4) for f, s in zip(frees, (52, 53))]
+    for n in (1, 2):
+        for model in (
+            boolean_sum_model(mus[:n]),
+            free_sum_model(frees[:n]),
+            cfree_sum_model(cfrees[:n]),
+        ):
+            for cap in range(5):
+                assert _basis_size(model, cap) == len(fock_basis(model, cap))
