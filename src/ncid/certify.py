@@ -3,8 +3,9 @@
 A distribution is infinitely divisible for a given independence exactly when
 an associated bilinear form is positive semidefinite on polynomials without
 free term.  The certifier materializes that form as a finite Gram matrix on
-monomials up to a degree, checks its minimal eigenvalue, and on failure emits
-the offending coefficient vector together with its quadratic form value.
+monomials up to a degree, checks the minimal eigenvalue of that matrix graded
+by word length, and on failure emits the offending coefficient vector
+together with its quadratic form value.
 """
 
 from __future__ import annotations
@@ -15,21 +16,9 @@ from itertools import product
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, block_matrix, psd_floor
-from .cumulants import (
-    CumulantFamily,
-    boolean_from_moments,
-    cfree_from_moments,
-    free_from_moments,
-    functional_of,
-)
+from .cumulants import CumulantFamily, families, functional_of, values_in
 from .distribution import MAX_GENERATE_BYTES, MomentFunctional
-from .errors import (
-    CertificateFailed,
-    DimensionMismatch,
-    NCIDError,
-    TooLarge,
-    TruncationExceeded,
-)
+from .errors import CertificateFailed, DimensionMismatch, NCIDError, TooLarge, TruncationExceeded
 from .ncfunctions import eval_series
 
 
@@ -242,14 +231,32 @@ class Certificate:
         return out
 
 
-def _judge(kind, degree, mat, tol) -> Certificate:
+def _judge(kind, degree, phi: MomentFunctional, no_free_term: bool, tol) -> Certificate:
+    """Certificate of the Gram G of phi, judged on the graded S G S.
+
+    S = diag(s^-len(word)), bare units having length 0, with s the square
+    root of the Frobenius norm of phi's level 2, or 1 where that is 0 (for
+    k = d = 1 it is |phi(X^2)|).  Entries pairing words of lengths j and l
+    scale as lambda^(j+l) under the dilation X -> lambda X, and s as lambda,
+    so S G S and its floor do not move with lambda.  Unitary conjugation in
+    B leaves the Frobenius norm, and so S G S's spectrum, as it is; the
+    entrywise max would move.  By Sylvester's law of inertia the exact
+    verdict is that of G.  The witness is mapped back through S, so its
+    quadratic_form is the value of G's own form at its coeffs.
+    """
+    mat, family = gram(phi, degree, no_free_term)
+    s = np.sqrt(np.linalg.norm(phi.raw(2))) or 1.0
+    lengths = np.array([len(w) if isinstance(w, tuple) else 0 for w in family], dtype=float)
+    grade = np.repeat(s**-lengths, mat.shape[0] // len(family))
+    mat = mat * grade[:, None]
+    mat *= grade
     min_eig = float(np.linalg.eigvalsh(mat)[0])
     passed = min_eig >= psd_floor(mat, tol)
     witness = None
     if not passed:
         vec = np.linalg.eigh(mat)[1][:, 0]  # the eigenvectors only for the witness
         form = float(np.real(vec.conj() @ mat @ vec))
-        witness = {"coeffs": [complex(c) for c in vec], "quadratic_form": form}
+        witness = {"coeffs": [complex(c) for c in grade * vec], "quadratic_form": form}
     return Certificate(
         kind=kind,
         degree=degree,
@@ -258,6 +265,17 @@ def _judge(kind, degree, mat, tol) -> Certificate:
         passed=passed,
         witness=witness,
     )
+
+
+# Kinds certified by positivity of the law itself on the full domain.  Every
+# boolean law has Levy-Hincin data, so extraction gates only the other kinds.
+_POSITIVITY = ("boolean", "condition1")
+
+
+def _certify_families(kind, fams, degree, tol) -> Certificate:
+    """The certificate of the cumulant Grams: the one with the least min_eig."""
+    certs = [_judge(kind, degree, functional_of(f.kind, f), True, tol) for f in fams]
+    return min(certs, key=lambda cert: cert.min_eig)
 
 
 def certify(kind: str, data, degree: int, tol: float = DEFAULT_TOL) -> Certificate:
@@ -271,26 +289,9 @@ def certify(kind: str, data, degree: int, tol: float = DEFAULT_TOL) -> Certifica
     form of the pair must be PSD; the reported eigenvalue is the smaller.
     condition1: positivity of an arbitrary functional on the full domain.
     """
-    if kind == "boolean":
-        mat, _ = gram(data, degree, no_free_term=False)
-        return _judge(kind, degree, mat, tol)
-    if kind == "condition1":
-        mat, _ = gram(data, degree, no_free_term=False)
-        return _judge(kind, degree, mat, tol)
-    if kind == "free":
-        rho = functional_of("free", free_from_moments(data))
-        mat, _ = gram(rho, degree, no_free_term=True)
-        return _judge(kind, degree, mat, tol)
-    if kind == "cfree":
-        mu, nu = data
-        rho = functional_of("free", free_from_moments(nu))
-        mat_f, _ = gram(rho, degree, no_free_term=True)
-        crho = functional_of("cfree", cfree_from_moments(mu, nu))
-        mat_c, _ = gram(crho, degree, no_free_term=True)
-        cert_f = _judge(kind, degree, mat_f, tol)
-        cert_c = _judge(kind, degree, mat_c, tol)
-        return cert_f if cert_f.min_eig <= cert_c.min_eig else cert_c
-    raise NCIDError(f"unknown certificate kind {kind!r}")
+    if kind in _POSITIVITY:
+        return _judge(kind, degree, data, False, tol)
+    return _certify_families(kind, families(kind, data), degree, tol)
 
 
 def family_from_levy_hincin(kind, alpha, sigma, truncation=None) -> CumulantFamily:
@@ -301,10 +302,7 @@ def family_from_levy_hincin(kind, alpha, sigma, truncation=None) -> CumulantFami
         trunc = min(truncation, trunc)
     levels = {}
     alpha = np.asarray(alpha, dtype=complex)
-    if kind == "free":
-        levels[1] = pair.embed(alpha)
-    else:
-        levels[1] = alpha.copy()
+    levels[1] = pair.embed(alpha) if values_in(kind) == "B" else alpha.copy()
     for n in range(2, trunc + 1):
         lev = sigma.levels[n - 2]
         levels[n] = pair.embed_tensor(lev) if sigma.values_in == "B" else lev.copy()
@@ -317,60 +315,30 @@ def levy_hincin_extract(kind: str, data, tol: float = DEFAULT_TOL):
     boolean laws always admit the representation.  For free and c-free input
     the certificate at the maximal checkable degree must pass first; on
     failure a CertificateFailed carrying the certificate (and its witness)
-    is raised instead of returning garbage data.
+    is raised instead of returning garbage data.  Each cumulant family is
+    computed once and serves both the certificate and the data.
     """
-    if kind == "boolean":
-        mu = data
-        if mu.truncation < 2:
-            raise TruncationExceeded("need moments to degree 2 to extract")
-        fam = boolean_from_moments(mu)
-        alpha = fam.levels[1].copy()
-        levels = {m: fam.levels[m + 2].copy() for m in range(mu.truncation - 1)}
-        sig = SigmaForm(
-            pair=mu.pair, values_in="D", truncation=mu.truncation - 2, levels=levels
-        )
-        return alpha, sig
-    if kind == "free":
-        nu = data
-        if nu.truncation < 2:
-            raise TruncationExceeded("need moments to degree 2 to extract")
-        degree = nu.truncation // 2
-        cert = certify("free", nu, degree, tol)
+    fams = families(kind, data)
+    fam = fams[-1]
+    if fam.truncation < 2:
+        raise TruncationExceeded("need moments to degree 2 to extract")
+    if kind not in _POSITIVITY:
+        degree = fam.truncation // 2
+        cert = _certify_families(kind, fams, degree, tol)
         if not cert.passed:
             raise CertificateFailed(
-                f"free divisibility fails at degree {degree}: "
+                f"{kind} divisibility fails at degree {degree}: "
                 f"min eigenvalue {cert.min_eig:.3e}",
                 certificate=cert,
             )
-        fam = free_from_moments(nu)
-        alpha = nu.pair.pullback(fam.levels[1])
-        levels = {
-            m: nu.pair.pullback_tensor(fam.levels[m + 2])
-            for m in range(nu.truncation - 1)
-        }
-        sig = SigmaForm(
-            pair=nu.pair, values_in="B", truncation=nu.truncation - 2, levels=levels
-        )
-        return alpha, sig
-    if kind == "cfree":
-        mu, nu = data
-        trunc = min(mu.truncation, nu.truncation)
-        if trunc < 2:
-            raise TruncationExceeded("need moments to degree 2 to extract")
-        degree = trunc // 2
-        cert = certify("cfree", (mu, nu), degree, tol)
-        if not cert.passed:
-            raise CertificateFailed(
-                f"c-free divisibility fails at degree {degree}: "
-                f"min eigenvalue {cert.min_eig:.3e}",
-                certificate=cert,
-            )
-        fam = cfree_from_moments(mu, nu)
-        alpha = fam.levels[1].copy()
-        levels = {m: fam.levels[m + 2].copy() for m in range(trunc - 1)}
-        sig = SigmaForm(pair=mu.pair, values_in="D", truncation=trunc - 2, levels=levels)
-        return alpha, sig
-    raise NCIDError(f"unknown transform kind {kind!r}")
+    pair, where = fam.pair, values_in(kind)
+    if where == "B":
+        alpha, pull = pair.pullback(fam.levels[1]), pair.pullback_tensor
+    else:
+        alpha, pull = fam.levels[1].copy(), np.copy
+    levels = {m: pull(fam.levels[m + 2]) for m in range(fam.truncation - 1)}
+    sig = SigmaForm(pair=pair, values_in=where, truncation=fam.truncation - 2, levels=levels)
+    return alpha, sig
 
 
 def levy_hincin_reconstruct(kind: str, alpha, sigma: SigmaForm, point):

@@ -35,20 +35,8 @@ import numpy as np  # noqa: E402
 
 from .algebra import DEFAULT_TOL, AlgebraPair  # noqa: E402
 from .certify import certify, levy_hincin_extract  # noqa: E402
-from .convolution import (  # noqa: E402
-    boolean_convolve,
-    cfree_convolve,
-    free_convolve,
-    root,
-)
-from .cumulants import (  # noqa: E402
-    boolean_from_moments,
-    cfree_from_moments,
-    free_from_moments,
-    moments_from_boolean,
-    moments_from_cfree,
-    moments_from_free,
-)
+from .convolution import convolve, root  # noqa: E402
+from .cumulants import KINDS, family_of, is_pair, moments_of  # noqa: E402
 from .distribution import generate_realizable, scalar_from_moments  # noqa: E402
 from .errors import CertificateFailed, NCIDError  # noqa: E402
 from .ncfunctions import (  # noqa: E402
@@ -67,8 +55,6 @@ from .serialize import (  # noqa: E402
     pair_file_from_json,
     pair_file_to_json,
 )
-
-_KINDS = ("boolean", "free", "cfree")
 
 
 class UsageError(NCIDError):
@@ -92,21 +78,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None, help="ambient dimension")
 
     p = sub.add_parser("cumulants", help="moments to cumulants")
-    p.add_argument("--kind", choices=_KINDS, required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--aux", default=None)
 
     p = sub.add_parser("convolve", help="additive convolution of inputs")
-    p.add_argument("--kind", choices=_KINDS, required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("files", nargs="+")
 
     p = sub.add_parser("root", help="n-th convolution root")
-    p.add_argument("--kind", choices=_KINDS, required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("file")
 
     p = sub.add_parser("certify", help="divisibility certificate")
-    p.add_argument("--kind", choices=_KINDS, required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("file")
@@ -122,7 +108,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--aux", default=None)
 
     p = sub.add_parser("extract", help="divisible transform data extraction")
-    p.add_argument("--kind", choices=_KINDS, required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("file")
     p.add_argument("--aux", default=None)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -136,13 +122,28 @@ def _load_functional(path: str):
     return functional_from_json(load_path(path))
 
 
-def _load_pair_file(path: str):
-    return pair_file_from_json(load_path(path))
-
-
 def _need_aux(args) -> None:
     if args.aux is None:
         raise UsageError("--aux with the second distribution is required here")
+
+
+def _load_data(args, path: str):
+    """The kind's data: the law at path, and for c-free the law at --aux."""
+    if not is_pair(args.kind):
+        return _load_functional(path)
+    _need_aux(args)
+    return _load_functional(path), _load_functional(args.aux)
+
+
+def _load_law(kind: str, path: str):
+    """The kind's data from one file: a pair file (mu, nu) for c-free."""
+    if is_pair(kind):
+        return pair_file_from_json(load_path(path))
+    return _load_functional(path)
+
+
+def _emit_law(kind: str, data) -> None:
+    _emit(pair_file_to_json(*data) if is_pair(kind) else functional_to_json(data))
 
 
 def _emit(obj) -> None:
@@ -164,48 +165,22 @@ def _run_gen(args) -> int:
 
 
 def _run_cumulants(args) -> int:
-    mu = _load_functional(args.infile)
-    if args.kind == "boolean":
-        fam = boolean_from_moments(mu)
-    elif args.kind == "free":
-        fam = free_from_moments(mu)
-    else:
-        _need_aux(args)
-        fam = cfree_from_moments(mu, _load_functional(args.aux))
-    _emit(family_to_json(fam))
+    _emit(family_to_json(family_of(args.kind, _load_data(args, args.infile))))
     return 0
 
 
 def _run_convolve(args) -> int:
-    if args.kind == "cfree":
-        pairs = [_load_pair_file(path) for path in args.files]
-        mu, nu = cfree_convolve(pairs)
-        _emit(pair_file_to_json(mu, nu))
-        return 0
-    mus = [_load_functional(path) for path in args.files]
-    out = boolean_convolve(mus) if args.kind == "boolean" else free_convolve(mus)
-    _emit(functional_to_json(out))
+    _emit_law(args.kind, convolve(args.kind, [_load_law(args.kind, p) for p in args.files]))
     return 0
 
 
 def _run_root(args) -> int:
-    if args.kind == "cfree":
-        data = _load_pair_file(args.file)
-        mu, nu = root("cfree", data, args.n)
-        _emit(pair_file_to_json(mu, nu))
-        return 0
-    out = root(args.kind, _load_functional(args.file), args.n)
-    _emit(functional_to_json(out))
+    _emit_law(args.kind, root(args.kind, _load_law(args.kind, args.file), args.n))
     return 0
 
 
 def _run_certify(args) -> int:
-    if args.kind == "cfree":
-        _need_aux(args)
-        data = (_load_functional(args.file), _load_functional(args.aux))
-    else:
-        data = _load_functional(args.file)
-    cert = certify(args.kind, data, args.degree, args.tol)
+    cert = certify(args.kind, _load_data(args, args.file), args.degree, args.tol)
     _emit(cert.to_json())
     return 0 if cert.passed else 2
 
@@ -229,19 +204,12 @@ def _run_check(args) -> int:
 
 
 def _run_extract(args) -> int:
-    if args.kind == "cfree":
-        _need_aux(args)
-        data = (_load_functional(args.file), _load_functional(args.aux))
-        pair = data[0].pair
-    else:
-        data = _load_functional(args.file)
-        pair = data.pair
     try:
-        alpha, sigma = levy_hincin_extract(args.kind, data, args.tol)
+        alpha, sigma = levy_hincin_extract(args.kind, _load_data(args, args.file), args.tol)
     except CertificateFailed as exc:
         _emit(exc.certificate.to_json())
         return 2
-    _emit(extraction_to_json(args.kind, pair, alpha, sigma))
+    _emit(extraction_to_json(args.kind, sigma.pair, alpha, sigma))
     return 0
 
 
@@ -263,12 +231,8 @@ def _run_selftest(args) -> int:
     mu = generate_realizable(args.seed, pair, 6, 2 * pair.d)
     nu = generate_realizable(args.seed + 1, pair, 6, 2 * pair.d)
 
-    backs = {
-        "boolean": moments_from_boolean(boolean_from_moments(mu)),
-        "free": moments_from_free(free_from_moments(mu)),
-        "cfree": moments_from_cfree(cfree_from_moments(mu, nu), nu),
-    }
-    for kind, back in backs.items():
+    for kind in KINDS:
+        back = moments_of(family_of(kind, (mu, nu) if is_pair(kind) else mu), nu)
         worst = max(relerr(back.raw(n), mu.raw(n)) for n in range(1, 7))
         record(f"roundtrip_{kind}", worst, worst <= 1e-12)
 

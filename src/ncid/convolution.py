@@ -2,15 +2,7 @@
 
 from __future__ import annotations
 
-from .cumulants import (
-    CumulantFamily,
-    boolean_from_moments,
-    cfree_from_moments,
-    free_from_moments,
-    moments_from_boolean,
-    moments_from_cfree,
-    moments_from_free,
-)
+from .cumulants import CumulantFamily, check_kind, families, from_families
 from .distribution import MomentFunctional
 from .errors import NCIDError, PairMismatch
 
@@ -35,30 +27,29 @@ def _sum_families(fams) -> CumulantFamily:
     return CumulantFamily(kind=fams[0].kind, pair=pair, truncation=trunc, levels=levels)
 
 
+def convolve(kind: str, items):
+    """Convolution of kind: sums the cumulant families of the items (laws,
+    or (mu, nu) pairs for cfree) and inverts; one item is returned as is."""
+    items = list(items)
+    check_kind(kind)
+    if len(items) == 1:
+        return items[0]
+    summed = zip(*(families(kind, item) for item in items))
+    return from_families([_sum_families(fams) for fams in summed])
+
+
 def boolean_convolve(mus) -> MomentFunctional:
-    mus = list(mus)
-    if len(mus) == 1:
-        return mus[0]
-    return moments_from_boolean(_sum_families([boolean_from_moments(m) for m in mus]))
+    return convolve("boolean", mus)
 
 
 def free_convolve(nus) -> MomentFunctional:
-    nus = list(nus)
-    if len(nus) == 1:
-        return nus[0]
-    return moments_from_free(_sum_families([free_from_moments(n) for n in nus]))
+    return convolve("free", nus)
 
 
 def cfree_convolve(pairs):
     """Convolve (mu_i, nu_i) pairs; returns (mu_c, nu_c) with nu_c the free
     convolution and mu_c inverted from the summed c-free cumulants."""
-    pairs = list(pairs)
-    if len(pairs) == 1:
-        return pairs[0]
-    nus = [nu for _, nu in pairs]
-    nu_c = free_convolve(nus)
-    ck = _sum_families([cfree_from_moments(mu, nu) for mu, nu in pairs])
-    return moments_from_cfree(ck, nu_c), nu_c
+    return convolve("cfree", pairs)
 
 
 def root(kind: str, data, n: int):
@@ -69,14 +60,4 @@ def root(kind: str, data, n: int):
     """
     if n < 1:
         raise NCIDError(f"root order must be >= 1, got {n}")
-    scale = 1.0 / n
-    if kind == "boolean":
-        return moments_from_boolean(boolean_from_moments(data).scaled(scale))
-    if kind == "free":
-        return moments_from_free(free_from_moments(data).scaled(scale))
-    if kind == "cfree":
-        mu, nu = data
-        nu_n = moments_from_free(free_from_moments(nu).scaled(scale))
-        ck_n = cfree_from_moments(mu, nu).scaled(scale)
-        return moments_from_cfree(ck_n, nu_n), nu_n
-    raise NCIDError(f"unknown convolution kind {kind!r}")
+    return from_families([fam.scaled(1.0 / n) for fam in families(kind, data)])

@@ -1,5 +1,11 @@
 """Boolean, free, and c-free moment-cumulant transforms.
 
+The kind table lives here and only here: family_of and moments_of pick the
+recursion of a kind, and families / from_families carry the rule that
+c-free data is a pair (mu, nu) whose nu goes through the free recursion.
+Cumulants linearise each convolution, so every other module works on the
+families and asks this one which recursion runs.
+
 All three recursions are solved level by level on the matrix-unit basis.
 The stored convention matches MomentFunctional: level n is the value at
 (u_1, ..., u_{n-1}) with trailing argument 1, and the trailing argument of
@@ -25,7 +31,7 @@ from .algebra import AlgebraPair
 from .distribution import MomentFunctional, contract_units, level_shape
 from .errors import DimensionMismatch, NCIDError, PairMismatch, TooLarge, TruncationExceeded
 
-_KINDS = ("boolean", "free", "cfree")
+KINDS = ("boolean", "free", "cfree")
 
 # einsum subscripts of the free and c-free terms: a, b, c label value axes and
 # these the slots.  Level n needs 2n - 3 of them, which caps the truncation.
@@ -47,8 +53,7 @@ class CumulantFamily:
     levels: dict
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise NCIDError(f"unknown cumulant kind {self.kind!r}")
+        check_kind(self.kind)
         k, d = self.pair.k, self.pair.d
         lv = {}
         for n in range(1, self.truncation + 1):
@@ -76,6 +81,25 @@ class CumulantFamily:
             truncation=self.truncation,
             levels={n: factor * t for n, t in self.levels.items()},
         )
+
+
+def check_kind(kind: str) -> None:
+    """Raise NCIDError unless kind is one of KINDS."""
+    if kind not in KINDS:
+        raise NCIDError(f"unknown cumulant kind {kind!r}")
+
+
+def is_pair(kind: str) -> bool:
+    """Whether kind's data is a pair (mu, nu) of laws: c-free data is."""
+    check_kind(kind)
+    return kind == "cfree"
+
+
+def values_in(kind: str) -> str:
+    """Where kind's cumulants take their values: 'B' for free cumulants,
+    which stay inside the embedded copy of B, else 'D'."""
+    check_kind(kind)
+    return "B" if kind == "free" else "D"
 
 
 def functional_of(kind: str, fam: CumulantFamily) -> MomentFunctional:
@@ -330,3 +354,38 @@ def moments_from_cfree(fam: CumulantFamily, nu: MomentFunctional) -> MomentFunct
     for n in range(2, trunc + 1):
         m[n] = fam.levels[n] + _cfree_level_sum(n, fam.levels, m, nub, units, eunits, k, d)
     return MomentFunctional(pair=pair, truncation=trunc, levels=m)
+
+
+def family_of(kind: str, data) -> CumulantFamily:
+    """The cumulant family of kind's data: a law, or (mu, nu) for cfree."""
+    if is_pair(kind):
+        mu, nu = data
+        return cfree_from_moments(mu, nu)
+    return boolean_from_moments(data) if kind == "boolean" else free_from_moments(data)
+
+
+def moments_of(fam: CumulantFamily, nu: MomentFunctional | None = None) -> MomentFunctional:
+    """The moments of a cumulant family; a cfree family is inverted against nu."""
+    if fam.kind == "boolean":
+        return moments_from_boolean(fam)
+    if fam.kind == "free":
+        return moments_from_free(fam)
+    if nu is None:
+        raise PairMismatch("a cfree family's moments need nu")
+    return moments_from_cfree(fam, nu)
+
+
+def families(kind: str, data) -> tuple:
+    """Every cumulant family that kind's data determines, its own family
+    last.  C-free data (mu, nu) has the free family of nu first."""
+    if is_pair(kind):
+        return family_of("free", data[1]), family_of(kind, data)
+    return (family_of(kind, data),)
+
+
+def from_families(fams):
+    """The data whose families() are fams: a law, or the pair (mu, nu)."""
+    if is_pair(fams[-1].kind):
+        nu = moments_of(fams[0])
+        return moments_of(fams[1], nu), nu
+    return moments_of(fams[0])

@@ -13,8 +13,8 @@ import dataclasses
 
 import numpy as np
 
-from .algebra import AlgebraPair, adjoint, adjoint_unit, cnorm
-from .errors import DimensionMismatch, SeedExhausted, TooLarge, TruncationExceeded
+from .algebra import DEFAULT_TOL, AlgebraPair, adjoint, cnorm
+from .errors import DimensionMismatch, NotHermitian, SeedExhausted, TooLarge, TruncationExceeded
 
 # Most bytes generate_realizable may allocate; it refuses larger requests.
 MAX_GENERATE_BYTES = 2**30
@@ -101,18 +101,33 @@ class MomentFunctional:
 
     def star_residual(self) -> float:
         """Deviation from *-compatibility across all stored levels."""
-        k = self.pair.k
-        perm = np.array([adjoint_unit(u, k) for u in range(k * k)])
-        worst = 0.0
-        for n in range(1, self.truncation + 1):
-            t = self.raw(n)
-            slots = n - 1
-            ta = adjoint(t)
-            ta = np.transpose(ta, tuple(reversed(range(slots))) + (slots, slots + 1))
-            for ax in range(slots):
-                ta = np.take(ta, perm, axis=ax)
-            worst = max(worst, cnorm(t - ta))
-        return worst
+        gaps = (_star_gap(self.raw(n), self.pair.k) for n in range(1, self.truncation + 1))
+        return max(gaps, default=0.0)
+
+    def check_star(self) -> None:
+        """Raise NotHermitian when some level n's *-residual is above
+        DEFAULT_TOL * s^n, one level at a time.  s = max_n max|level n|^(1/n)
+        is the law's own scale, so a level that is zero in exact arithmetic
+        and holds only rounding noise passes."""
+        levels = range(1, self.truncation + 1)
+        s = max((cnorm(self.raw(n)) ** (1.0 / n) for n in levels), default=0.0)
+        for n in levels:
+            gap = _star_gap(self.raw(n), self.pair.k)
+            if gap > DEFAULT_TOL * s**n:
+                raise NotHermitian(f"moment level {n} is {gap:.3e} away from *-compatibility")
+
+
+def _star_gap(t: np.ndarray, k: int) -> float:
+    """Largest entry of t - t^* for one level t.  t^* holds the values on the
+    adjoint words, mu(X u_1 ... u_s X)^* = mu(X u_s^* ... u_1^* X): reversing
+    the slots and transposing each unit reverses the 2s row and column axes.
+    They are compared one entry of the first unit (two axes) at a time: with
+    level-sized temporaries, a (2,2,8) law's load raised the peak RSS of the
+    `ncid certify` that read it from 61.5 to 69.5 MB."""
+    axes = 2 * (t.ndim - 2)
+    rows = t.reshape((k,) * axes + t.shape[-2:])
+    adj = rows.transpose(tuple(reversed(range(axes))) + (axes + 1, axes))
+    return max(cnorm(rows[i] - np.conj(adj[i])) for i in np.ndindex(rows.shape[:2]))
 
 
 def _truncated(mu: MomentFunctional, n: int) -> MomentFunctional:

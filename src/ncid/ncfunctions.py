@@ -19,11 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .algebra import AlgebraPair, block_matrix
-from .cumulants import (
-    boolean_from_moments,
-    cfree_from_moments,
-    free_from_moments,
-)
+from .cumulants import family_of
 from .distribution import MomentFunctional, _truncated, level_shape
 from .errors import (
     DimensionMismatch,
@@ -231,6 +227,12 @@ def eval_cR(mu: MomentFunctional, nu: MomentFunctional, point):
     return bmu + _bprod(bmu, nu.pair.embed_tensor(r))
 
 
+# The kind whose cumulant series each transform is; extract_taylor takes
+# the transforms of one law, check_identity also cR of the pair (mu, nu)
+_TAYLOR = {"B": "boolean", "R": "free"}
+_SERIES = {**_TAYLOR, "cR": "cfree"}
+
+
 def extract_taylor(mu: MomentFunctional, coeffs, transform: str = "M"):
     """Taylor term of a transform along the superdiagonal probe.
 
@@ -249,11 +251,10 @@ def extract_taylor(mu: MomentFunctional, coeffs, transform: str = "M"):
         )
     if transform == "M":
         return mu.eval_word(coeffs)
-    if transform == "B":
-        return boolean_from_moments(_truncated(mu, len(coeffs))).evaluate(coeffs)
-    if transform == "R":
-        return free_from_moments(_truncated(mu, len(coeffs))).evaluate(coeffs)
-    raise NCIDError(f"unknown transform {transform!r}")
+    kind = _TAYLOR.get(transform)
+    if kind is None:
+        raise NCIDError(f"unknown transform {transform!r}")
+    return family_of(kind, _truncated(mu, len(coeffs))).evaluate(coeffs)
 
 
 def _pullback_blocks(pair: AlgebraPair, blocks: np.ndarray, tol: float = 1e-10):
@@ -279,10 +280,26 @@ def _rel_err(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.abs(lhs - rhs).max(initial=0.0)) / scale
 
 
-def _require_order(order: int) -> None:
-    """Checks probe points of size order + 1, which are zero below order 1."""
+def _require_order(what: str, order: int, need: int, stored: int) -> None:
+    """A check probes points of size order + 1, which are zero below order 1,
+    and reads `need` of the `stored` levels."""
     if order < 1:
         raise DimensionMismatch(f"check order must be >= 1, got {order}")
+    if need > stored:
+        raise OrderExceedsTruncation(
+            f"{what} check at order {order} needs truncation {need}, got {stored}"
+        )
+
+
+def _report(identity: str, order: int, seed: int, probes: int, worst: float, tol: float):
+    return {
+        "identity": identity,
+        "order": order,
+        "seed": seed,
+        "probes": probes,
+        "residual": worst,
+        "pass": worst <= tol,
+    }
 
 
 def check_identity(
@@ -300,23 +317,18 @@ def check_identity(
     R:  M_nu(b) - 1 = R_nu(b M_nu(b))
     cR: (M_mu(b) - 1) M_nu(b) = M_mu(b) cR_{mu,nu}(b M_nu(b))
     """
-    if name not in ("B", "R", "cR"):
+    if name not in _SERIES:
         raise NCIDError(f"unknown identity {name!r}")
-    _require_order(order)
+    stored = mu.truncation if nu is None else min(mu.truncation, nu.truncation)
+    _require_order("identity", order, order, stored)
     pair = mu.pair
-    if order > mu.truncation or (nu is not None and order > nu.truncation):
-        raise OrderExceedsTruncation(
-            f"identity check at order {order} exceeds stored truncation"
-        )
     # recursion level p reads levels <= p; probes read <= order
-    if name == "B":
-        series = boolean_from_moments(_truncated(mu, order)).levels
-    elif name == "R":
-        series = free_from_moments(_truncated(mu, order)).levels
-    else:
+    data = _truncated(mu, order)
+    if name == "cR":
         if nu is None:
             raise NCIDError("identity cR needs the second functional")
-        series = cfree_from_moments(_truncated(mu, order), _truncated(nu, order)).levels
+        data = data, _truncated(nu, order)
+    series = family_of(_SERIES[name], data).levels
     rng = np.random.default_rng(seed)
     m = order + 1
     worst = 0.0
@@ -336,14 +348,7 @@ def check_identity(
             if name == "cR":
                 lhs, rhs = _bprod(lhs, mnu), _bprod(mm, rhs)
         worst = max(worst, _rel_err(lhs, rhs))
-    return {
-        "identity": name,
-        "order": order,
-        "seed": seed,
-        "probes": probes,
-        "residual": worst,
-        "pass": worst <= tol,
-    }
+    return _report(name, order, seed, probes, worst, tol)
 
 
 def check_cauchy_relation(
@@ -360,16 +365,12 @@ def check_cauchy_relation(
     sum_r t^{r-1} H_r.  The boolean transform relation gives, order by
     order, delta_{r0} 1 - H_r G_0 = [B-series of (X (1-c)^{-1})^r].
     """
-    _require_order(order)
-    if order > mu.truncation:
-        raise OrderExceedsTruncation(
-            f"relation check at order {order} exceeds truncation {mu.truncation}"
-        )
+    _require_order("relation", order, order, mu.truncation)
     pair = mu.pair
     k, d = pair.k, pair.d
     rng = np.random.default_rng(seed)
     m = order + 1
-    bstored = boolean_from_moments(mu).levels
+    bstored = family_of("boolean", mu).levels
     worst = 0.0
     for _ in range(probes):
         c = NilpotentPoint.random(rng, m, k, scale=0.5).entries
@@ -399,14 +400,7 @@ def check_cauchy_relation(
                 lhs = lhs + np.eye(m * d)
             rhs = block_matrix(_path_sum(bstored[r], pair, p0)) if r else np.zeros_like(lhs)
             worst = max(worst, _rel_err(lhs, rhs))
-    return {
-        "identity": "G",
-        "order": order,
-        "seed": seed,
-        "probes": probes,
-        "residual": worst,
-        "pass": worst <= tol,
-    }
+    return _report("G", order, seed, probes, worst, tol)
 
 
 def check_nc_function_axioms(
@@ -421,12 +415,8 @@ def check_nc_function_axioms(
     Similarities use unipotent upper triangular scalar matrices, which keep
     strictly upper arguments strictly upper.
     """
-    _require_order(order)
-    if 2 * order - 1 > mu.truncation:  # direct sums reach size 2 * order
-        raise OrderExceedsTruncation(
-            f"axioms check at order {order} needs truncation {2 * order - 1}, "
-            f"got {mu.truncation}"
-        )
+    # direct sums reach size 2 * order
+    _require_order("axioms", order, 2 * order - 1, mu.truncation)
     pair = mu.pair
     k, d = pair.k, pair.d
     rng = np.random.default_rng(seed)
@@ -456,14 +446,7 @@ def check_nc_function_axioms(
         got = eval_M(mu, conj)
         want = np.einsum("il,ljab,jp->ipab", s, eval_M(mu, b), sinv)
         worst = max(worst, _rel_err(got, want))
-    return {
-        "identity": "axioms",
-        "order": order,
-        "seed": seed,
-        "probes": probes,
-        "residual": worst,
-        "pass": worst <= tol,
-    }
+    return _report("axioms", order, seed, probes, worst, tol)
 
 
 def amplify_functional(mu: MomentFunctional, n: int, truncation: int) -> MomentFunctional:
@@ -509,11 +492,7 @@ def tensor_compatibility(
     """Amplification compatibility: evaluating the transform of the
     n-amplified functional at m x m points agrees with evaluating the
     original transform at the regrouped (mn) x (mn) point."""
-    _require_order(order)
-    if order > mu.truncation:
-        raise OrderExceedsTruncation(
-            f"tensor check at order {order} exceeds truncation {mu.truncation}"
-        )
+    _require_order("tensor", order, order, mu.truncation)
     pair = mu.pair
     k = pair.k
     amp = amplify_functional(mu, n, order)
@@ -527,11 +506,4 @@ def tensor_compatibility(
         got = block_matrix(eval_M(amp, big))
         want = block_matrix(eval_M(mu, small_entries))
         worst = max(worst, _rel_err(got, want))
-    return {
-        "identity": "tensor",
-        "order": order,
-        "seed": seed,
-        "probes": probes,
-        "residual": worst,
-        "pass": worst <= tol,
-    }
+    return _report("tensor", order, seed, probes, worst, tol)

@@ -18,11 +18,9 @@ import re
 import numpy as np
 
 from .algebra import AlgebraPair
-from .cumulants import CumulantFamily
+from .cumulants import KINDS, CumulantFamily, values_in
 from .distribution import MomentFunctional, level_shape
 from .errors import DimensionMismatch, NCIDError
-
-_KINDS = ("boolean", "free", "cfree")
 
 # A member value made only of brackets, commas and number characters.
 _NUMERIC_VALUE = re.compile(r":(\[[-+.0-9eE,\[\]]*\])")
@@ -203,7 +201,9 @@ def functional_from_json(data: dict) -> MomentFunctional:
     if trunc < 1:
         raise DimensionMismatch("truncation must be >= 1")
     levels = _levels_from_json(_require(data, "moments"), pair, trunc)
-    return MomentFunctional(pair=pair, truncation=trunc, levels=levels)
+    mf = MomentFunctional(pair=pair, truncation=trunc, levels=levels)
+    mf.check_star()
+    return mf
 
 
 def family_to_json(fam: CumulantFamily) -> dict:
@@ -216,7 +216,7 @@ def family_to_json(fam: CumulantFamily) -> dict:
 
 def family_from_json(data: dict) -> CumulantFamily:
     kind = _require(data, "kind", str)
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise DimensionMismatch(f"unknown cumulant kind {kind!r}")
     mf = functional_from_json(data)
     return CumulantFamily(
@@ -355,10 +355,10 @@ def extraction_to_json(kind: str, pair: AlgebraPair, alpha, sigma) -> dict:
 
 def extraction_from_json(data: dict):
     kind = _require(data, "kind", str)
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise DimensionMismatch(f"unknown transform kind {kind!r}")
     pair = pair_from_json(data)
-    v = pair.k if kind == "free" else pair.d
+    v = pair.k if values_in(kind) == "B" else pair.d
     alpha = tensor_from_json(_require(data, "alpha"), (v, v))
     sigma = sigma_from_json(_require(data, "sigma"), pair)
     return kind, pair, alpha, sigma

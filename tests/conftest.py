@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ncid.algebra import AlgebraPair
+from ncid.algebra import AlgebraPair, matrix_units
 from ncid.certify import SigmaForm, family_from_levy_hincin
 from ncid.cumulants import moments_from_cfree, moments_from_free
 from ncid.distribution import (
@@ -43,6 +43,18 @@ def zero_law(pair: AlgebraPair, truncation: int) -> MomentFunctional:
     return MomentFunctional(pair, truncation, {
         n: np.broadcast_to(zero, level_shape(pair.k, pair.d, n)) for n in range(1, truncation + 1)
     })
+
+
+def twisted(moments, h):
+    """The M_k-valued law of h (x) s for a scalar law s with these moments:
+    mu(X b1 X ... X) = m_n h b1 h ... h."""
+    units = matrix_units(h.shape[0])
+    chain, levels = h, {}
+    for n, m in enumerate(moments, start=1):
+        levels[n] = m * chain
+        chain = np.einsum("...ab,ubc,cd->...uad", chain, units, h)
+    pair = AlgebraPair.identity(h.shape[0])
+    return MomentFunctional(pair=pair, truncation=len(moments), levels=levels)
 
 
 def bvalued_realizable(seed: int, pair: AlgebraPair, trunc: int = 6) -> MomentFunctional:

@@ -17,8 +17,9 @@ from ncid.certify import (
     levy_hincin_reconstruct,
     sigma_gram,
 )
-from ncid.convolution import root
-from ncid.cumulants import free_from_moments, functional_of
+from ncid import cumulants
+from ncid.convolution import convolve, root
+from ncid.cumulants import family_of, free_from_moments, functional_of
 from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
 from ncid.errors import CertificateFailed, NCIDError, TooLarge, TruncationExceeded
 from ncid.ncfunctions import NilpotentPoint, eval_B, eval_R, eval_cR
@@ -31,6 +32,7 @@ from conftest import (
     hermitize,
     rand_b,
     relerr,
+    twisted,
     zero_law,
 )
 
@@ -130,20 +132,36 @@ def test_free_certificate_semicircle_and_bernoulli(semicircle, bernoulli):
     assert bad.witness["quadratic_form"] < -0.5
 
 
+def graded(mat, labels, phi):
+    """S G S and the diagonal of S = diag(s^-len(word)), s^2 the Frobenius
+    norm of phi's level 2 (bare units have length 0)."""
+    s = np.sqrt(np.linalg.norm(phi.raw(2))) or 1.0
+    lengths = [len(w) if isinstance(w, tuple) else 0 for w in labels]
+    grade = np.repeat(s ** -np.array(lengths, dtype=float), mat.shape[0] // len(labels))
+    return grade[:, None] * mat * grade, grade
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_failed_verdict_eigenvalue_matches_its_witness(seed):
     # min_eig comes from the eigenvalues alone, the witness from the
-    # eigenvectors of the same Gram; both must describe one eigenpair.
+    # eigenvectors of the same graded Gram; both must describe one eigenpair,
+    # and the witness mapped back through S is a value of the Gram's own form.
     mu = generate_realizable(seed, AlgebraPair.identity(2), 6, 4)
-    mat, _ = rho_gram(mu, 3)
+    rho = functional_of("free", free_from_moments(mu))
+    mat, labels = gram(rho, 3)
+    smat, grade = graded(mat, labels, rho)
+    assert grade.min() < grade.max()  # s != 1, so the grading is at work
     cert = certify("free", mu, 3)
     assert not cert.passed
-    assert cert.min_eig == float(np.linalg.eigvalsh(mat)[0])
+    scale = np.abs(smat).max()
+    assert abs(cert.min_eig - np.linalg.eigvalsh(smat)[0]) <= 1e-12 * scale
     coeffs = np.asarray(cert.witness["coeffs"])
-    assert abs(np.linalg.norm(coeffs) - 1.0) < 1e-12
-    scale = np.abs(mat).max()
-    assert abs(cert.witness["quadratic_form"] - cert.min_eig) <= 1e-12 * scale
-    assert np.abs(mat @ coeffs - cert.min_eig * coeffs).max() <= 1e-10 * scale
+    vec = coeffs / grade
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    form = cert.witness["quadratic_form"]
+    assert abs(form - cert.min_eig) <= 1e-12 * scale
+    assert abs((coeffs.conj() @ mat @ coeffs).real - form) <= 1e-10 * scale
+    assert np.abs(smat @ vec - cert.min_eig * vec).max() <= 1e-10 * scale
 
 
 def test_cfree_certificate_on_divisible_pair(pair22):
@@ -153,8 +171,34 @@ def test_cfree_certificate_on_divisible_pair(pair22):
 
 
 def test_unknown_kind_rejected(mu22):
-    with pytest.raises(NCIDError):
-        certify("monotone", mu22, 2)
+    # Every entry that takes a kind asks the one kind table.  The three
+    # *_convolve names pass their own kind to convolve, so it stands for them.
+    entries = (
+        lambda: certify("monotone", mu22, 2),
+        lambda: levy_hincin_extract("monotone", mu22),
+        lambda: root("monotone", mu22, 2),
+        lambda: convolve("monotone", [mu22, mu22]),
+        lambda: convolve("monotone", [mu22]),
+        lambda: family_of("monotone", mu22),
+    )
+    for entry in entries:
+        with pytest.raises(NCIDError, match="unknown cumulant kind"):
+            entry()
+
+
+@pytest.mark.parametrize("kind", ["free", "cfree"])
+def test_extract_runs_each_recursion_once(kind, pair22, monkeypatch):
+    # The certificate and the extracted data share one family of each kind.
+    mu, nu = divisible_cfree_pair(66, pair22)
+    calls = []
+    for name in ("boolean_from_moments", "free_from_moments", "cfree_from_moments"):
+        real = getattr(cumulants, name)
+        monkeypatch.setattr(
+            cumulants, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    levy_hincin_extract(kind, nu if kind == "free" else (mu, nu))
+    want = ["free_from_moments"] + (["cfree_from_moments"] if kind == "cfree" else [])
+    assert calls == want
 
 
 def test_certificate_json_key_order(semicircle, bernoulli):
@@ -303,26 +347,27 @@ def conjugate(mf, u):
     return MomentFunctional(pair=mf.pair, truncation=mf.truncation, levels=levels)
 
 
-def twisted(moments, h):
-    """The M_k-valued law of h (x) s for a scalar law s with these moments:
-    mu(X b1 X ... X) = m_n h b1 h ... h."""
-    units = matrix_units(h.shape[0])
-    chain, levels = h, {}
-    for n, m in enumerate(moments, start=1):
-        levels[n] = m * chain
-        chain = np.einsum("...ab,ubc,cd->...uad", chain, units, h)
-    pair = AlgebraPair.identity(h.shape[0])
-    return MomentFunctional(pair=pair, truncation=len(moments), levels=levels)
-
-
 def test_free_certificate_is_dilation_invariant_for_bernoulli():
     # The free Gram of Bernoulli dilated by lam is diag(lam^2, -lam^4); a
-    # tolerance floored at 1 let min_eig = -1e-12 pass at lam = 1e-3.
-    for lam in (1.0, 0.1, 0.01, 1e-3):
+    # tolerance floored at 1 let min_eig = -1e-12 pass at lam = 1e-3.  The
+    # graded Gram is diag(1, -1) at every lam, and the witness (0, lam^-2)
+    # takes the Gram's own form to -1.
+    for lam in (1.0, 0.1, 0.01, 1e-3, 1e3):
         law = dilate(scalar_from_moments(BERNOULLI_MOMENTS), lam)
         cert = certify("free", law, 2)
         assert not cert.passed
-        assert abs(cert.min_eig + lam**4) < 1e-9 * lam**4
+        assert abs(cert.min_eig + 1.0) < 1e-9
+        coeffs = np.asarray(cert.witness["coeffs"])
+        assert coeffs[0] == 0 and abs(abs(coeffs[1]) - lam**-2) < 1e-9 * lam**-2
+        assert abs(cert.witness["quadratic_form"] + 1.0) < 1e-9
+
+
+def test_free_certificate_passes_the_dilated_semicircle_at_degree_3():
+    # On the ungraded Gram the rounding noise of kappa_6 grows as lam^6
+    # against a floor that grows as lam^2: it failed at lam = 10^2.4, 10^2.6.
+    for log_lam in np.linspace(-3.0, 3.0, 31):
+        law = dilate(scalar_from_moments(SEMICIRCLE_MOMENTS), 10.0**log_lam)
+        assert certify("free", law, 3).passed, log_lam
 
 
 LAWS = ("semicircle", "bernoulli", "realizable")
@@ -330,9 +375,8 @@ LAWS = ("semicircle", "bernoulli", "realizable")
 
 def scalar_or_realizable(name, seed):
     if name == "realizable":
-        return generate_realizable(seed, AlgebraPair.identity(2), 4, ambient=4)
-    moments = SEMICIRCLE_MOMENTS if name == "semicircle" else BERNOULLI_MOMENTS
-    return scalar_from_moments(moments[:4])
+        return generate_realizable(seed, AlgebraPair.identity(2), 6, ambient=4)
+    return scalar_from_moments(SEMICIRCLE_MOMENTS if name == "semicircle" else BERNOULLI_MOMENTS)
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,8 +388,8 @@ def scalar_or_realizable(name, seed):
 )
 def test_verdict_is_invariant_under_dilation(name, seed, kind, log_lam):
     mf = scalar_or_realizable(name, seed)
-    want = certify(kind, mf, 2).passed
-    assert certify(kind, dilate(mf, 10.0**log_lam), 2).passed == want
+    want = certify(kind, mf, 3).passed
+    assert certify(kind, dilate(mf, 10.0**log_lam), 3).passed == want
 
 
 def twisted_or_realizable(name, seed):

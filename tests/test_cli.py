@@ -257,6 +257,44 @@ def test_load_rejects_bad_numbers(workdir, entry, error):
     assert out.stderr == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cumulants", "--in", "LAW"],
+        ["convolve", "LAW", "LAW"],
+        ["root", "--n", "2", "LAW"],
+        ["certify", "--degree", "2", "LAW"],
+        ["extract", "LAW"],
+    ],
+)
+def test_unknown_kind_exits_1(semi_path, argv):
+    argv = [semi_path if a == "LAW" else a for a in argv]
+    out = run_cli(argv[0], "--kind", "monotone", *argv[1:])
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["error"]["type"] == "UsageError"
+
+
+def test_law_that_is_not_star_compatible_exits_1(tmp_path):
+    # level 2 of a k = 2 law holds mu(X e_u X); one entry off by 1e-3 leaves
+    # mu(X e_u X)^* != mu(X e_u^* X)
+    from ncid.distribution import MomentFunctional, generate_realizable
+
+    law = generate_realizable(3, AlgebraPair.identity(2), 4, 4)
+    levels = dict(law.levels)
+    levels[2] = law.levels[2].copy()
+    levels[2][1, 0, 1] += 1e-3
+    path = tmp_path / "bent.json"
+    path.write_text(dumps(functional_to_json(MomentFunctional(law.pair, 4, levels))))
+    for argv in (
+        ["certify", "--kind", "boolean", "--degree", "2", str(path)],
+        ["cumulants", "--kind", "free", "--in", str(path)],
+    ):
+        out = run_cli(*argv)
+        assert out.returncode == 1
+        assert json.loads(out.stdout)["error"]["type"] == "NotHermitian"
+        assert out.stderr == ""
+
+
 def test_thread_cap_env(semi_path):
     import os
 

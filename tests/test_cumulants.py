@@ -13,9 +13,10 @@ from ncid.cumulants import (
     moments_from_boolean,
     moments_from_cfree,
     moments_from_free,
+    moments_of,
 )
 from ncid.distribution import generate_realizable, scalar_from_moments
-from ncid.errors import NCIDError, TooLarge, TruncationExceeded
+from ncid.errors import NCIDError, PairMismatch, TooLarge, TruncationExceeded
 from ncid.nclattice import enumerate_nc, full_partition, moebius, nc_weights
 
 from conftest import (
@@ -237,6 +238,13 @@ def test_functional_of_checks_kind(nu22):
     fam = free_from_moments(nu22)
     with pytest.raises(NCIDError):
         functional_of("boolean", fam)
+
+
+def test_moments_of_a_cfree_family_needs_nu(mu22, nu22):
+    fam = cfree_from_moments(mu22, nu22)
+    with pytest.raises(PairMismatch, match="need nu"):
+        moments_of(fam)
+    assert np.array_equal(moments_of(fam, nu22).raw(3), moments_from_cfree(fam, nu22).raw(3))
 
 
 def test_scaled_family(nu22):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncid.algebra import AlgebraPair, matrix_units
+from ncid.algebra import AlgebraPair, adjoint_unit, matrix_units
 from ncid.certify import gram
 from ncid.distribution import (
     MAX_GENERATE_TRUNCATION,
+    MomentFunctional,
     PolynomialWord,
     contract_units,
     eval_linear,
@@ -17,7 +18,13 @@ from ncid.distribution import (
     moment,
     scalar_from_moments,
 )
-from ncid.errors import DimensionMismatch, SeedExhausted, TooLarge, TruncationExceeded
+from ncid.errors import (
+    DimensionMismatch,
+    NotHermitian,
+    SeedExhausted,
+    TooLarge,
+    TruncationExceeded,
+)
 
 from conftest import SEMICIRCLE_MOMENTS, rand_b, relerr
 
@@ -54,6 +61,50 @@ def test_generate_realizable_star_compatible(k, d, ambient):
     mf = generate_realizable(0, pair, 5, ambient=ambient)
     assert mf.star_residual() < 1e-12
     assert np.allclose(mf.raw(1), mf.raw(1).conj().T)
+
+
+def star_gap_by_axes(t, k):
+    """The *-residual of one level, one unit slot at a time."""
+    slots = t.ndim - 2
+    perm = np.array([adjoint_unit(u, k) for u in range(k * k)])
+    ta = np.conj(np.swapaxes(t, -1, -2))
+    ta = np.transpose(ta, tuple(reversed(range(slots))) + (slots, slots + 1))
+    for ax in range(slots):
+        ta = np.take(ta, perm, axis=ax)
+    return float(np.abs(t - ta).max())
+
+
+@pytest.mark.parametrize("k,d", [(1, 1), (2, 2), (2, 4)])
+def test_star_residual_matches_the_slot_by_slot_reference(k, d):
+    rng = np.random.default_rng(k + d)
+    pair = AlgebraPair.identity(k) if k == d else AlgebraPair.block_diagonal(k, d)
+    law = generate_realizable(1, pair, 5, ambient=2 * d)
+    noisy = {n: t + 1e-3j * rng.standard_normal(t.shape) for n, t in law.levels.items()}
+    for levels in (law.levels, noisy):
+        mf = MomentFunctional(pair, 5, levels)
+        want = max(star_gap_by_axes(levels[n], k) for n in levels)
+        assert mf.star_residual() == want
+    with pytest.raises(NotHermitian):
+        MomentFunctional(pair, 5, noisy).check_star()
+    law.check_star()
+
+
+def test_check_star_bounds_level_n_by_the_laws_scale_to_the_n(pair22):
+    law = generate_realizable(2, pair22, 4, ambient=4)
+    noise = dict(law.levels)
+    # a level of rounding noise with no *-symmetry passes
+    noise[3] = 1e-16 * (1 + 1j) * np.arange(law.levels[3].size).reshape(law.levels[3].shape)
+    MomentFunctional(pair22, 4, noise).check_star()
+    s = max(np.abs(law.levels[n]).max() ** (1 / n) for n in range(1, 5))
+    for nudge, star in ((1e-6, False), (1e-11, True)):  # the bound is 1e-9 s^3
+        bent = dict(law.levels)
+        bent[3] = law.levels[3].copy()
+        bent[3][1, 2, 0, 1] += nudge * s**3
+        if star:
+            MomentFunctional(pair22, 4, bent).check_star()
+        else:
+            with pytest.raises(NotHermitian, match="level 3"):
+                MomentFunctional(pair22, 4, bent).check_star()
 
 
 def test_generate_realizable_deterministic(pair22):

@@ -5,7 +5,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-import ncid.ncfunctions
+import ncid.cumulants
 from ncid.algebra import AlgebraPair
 from ncid.certify import levy_hincin_extract, levy_hincin_reconstruct
 from ncid.cumulants import boolean_from_moments, cfree_from_moments, free_from_moments
@@ -316,8 +316,9 @@ def test_transforms_build_no_cumulant_tensors(monkeypatch, mu22, nu22):
     def refuse(*args):
         raise AssertionError("cumulant recursion called")
 
+    # the kind table in ncid.cumulants looks the recursions up there
     for name in ("boolean_from_moments", "free_from_moments", "cfree_from_moments"):
-        monkeypatch.setattr(ncid.ncfunctions, name, refuse)
+        monkeypatch.setattr(ncid.cumulants, name, refuse)
     point = NilpotentPoint.random(np.random.default_rng(3), 5, 2, scale=0.7)
     for value in (eval_B(mu22, point), eval_R(nu22, point), eval_cR(mu22, nu22, point)):
         assert value.shape == (5, 5, 2, 2)

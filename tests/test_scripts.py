@@ -51,15 +51,25 @@ def test_cli_digest_smoke():
     )
     assert out.returncode == 0, out.stderr
     lines = [line.split(" ", 2) for line in out.stdout.splitlines()]
-    # the chain, its six tensor files reloaded, six identities, one selftest
-    assert len(lines) == 8 + 6 + 6 + 1
+    # the boolean chain and its six tensor files reloaded; two laws at
+    # truncation 5, two pair files and the free and c-free steps, with their
+    # ten tensor files reloaded; six identities; one selftest
+    assert len(lines) == (8 + 6) + (4 + 10 + 10) + 6 + 1
     assert all(len(digest) == 64 and code in ("0", "1", "2") for digest, code, _ in lines)
     digests = {label: (digest, code) for digest, code, label in lines}
     reloaded = [label for label in digests if label.endswith(" reloaded")]
     assert [label.split(": ")[1] for label in reloaded] == [
         "gen a reloaded", "gen b reloaded", "cumulants reloaded", "convolve reloaded",
-        "root reloaded", "extract reloaded",
+        "root reloaded", "extract reloaded", "gen a5 reloaded", "gen b5 reloaded",
+        "pair a5 b5 reloaded", "pair b5 a5 reloaded",
+        "free cumulants reloaded", "free convolve reloaded", "free root reloaded",
+        "cfree cumulants reloaded", "cfree convolve reloaded", "cfree root reloaded",
     ]
+    for kind in ("free", "cfree"):  # the steps ran; certify and extract pass or print a witness
+        for step in ("cumulants", "convolve", "root"):
+            assert digests[f"seeds 3 4: {kind} {step}"][1] == "0"
+        for step in ("certify", "extract"):
+            assert digests[f"seeds 3 4: {kind} {step}"][1] in ("0", "2")
     for label in reloaded:  # writing inverts loading on every tensor file of the chain
         assert digests[label] == digests[label.removesuffix(" reloaded")]
     law = generate_realizable(3, AlgebraPair.identity(1), 4, 2)

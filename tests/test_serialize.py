@@ -8,9 +8,9 @@ import pytest
 
 from ncid.algebra import AlgebraPair
 from ncid.certify import SigmaForm
-from ncid.cumulants import free_from_moments
-from ncid.distribution import generate_realizable, scalar_from_moments
-from ncid.errors import DimensionMismatch, NCIDError
+from ncid.cumulants import CumulantFamily, boolean_from_moments, free_from_moments
+from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
+from ncid.errors import DimensionMismatch, NCIDError, NotHermitian
 from ncid.serialize import (
     dumps,
     extraction_from_json,
@@ -31,7 +31,7 @@ from ncid.serialize import (
     tensor_to_json,
 )
 
-from conftest import SEMICIRCLE_MOMENTS
+from conftest import BERNOULLI_MOMENTS, SEMICIRCLE_MOMENTS, hermitize, rand_b, twisted
 
 
 def test_dumps_is_plain_json():
@@ -113,6 +113,40 @@ def test_pair_file_round_trip(mu24, pair24):
     for n in range(1, 7):
         assert np.array_equal(bmu.raw(n), mu24.raw(n))
         assert np.array_equal(bnu.raw(n), nu.raw(n))
+
+
+def test_loads_refuse_laws_that_are_not_star_compatible(mu22, nu22):
+    """Laws, pair files and families go through functional_from_json, which
+    raises NotHermitian for a level n whose *-residual is above
+    DEFAULT_TOL * s^n, s the law's scale."""
+    bent = dict(mu22.levels)
+    bent[2] = mu22.levels[2].copy()
+    bent[2][1, 0, 1] += 1e-3
+    law = MomentFunctional(mu22.pair, mu22.truncation, bent)
+    fam = CumulantFamily("boolean", law.pair, law.truncation, law.levels)
+    for load, text in (
+        (functional_from_json, dumps(functional_to_json(law))),
+        (pair_file_from_json, dumps(pair_file_to_json(nu22, law))),
+        (family_from_json, dumps(family_to_json(fam))),
+    ):
+        with pytest.raises(NotHermitian, match="level 2"):
+            load(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "moments,from_moments",
+    [(SEMICIRCLE_MOMENTS, free_from_moments), (BERNOULLI_MOMENTS, boolean_from_moments)],
+)
+def test_family_with_rounding_noise_levels_round_trips(moments, from_moments):
+    """Free cumulants of a semicircle and boolean cumulants of Bernoulli
+    vanish above level 2; twisted over M_2 those levels come out as rounding
+    noise with no *-symmetry, which the load must still accept."""
+    h = hermitize(rand_b(np.random.default_rng(5), 2))
+    fam = from_moments(twisted(moments, h / np.linalg.norm(h, 2)))
+    assert max(np.abs(fam.levels[n]).max() for n in (4, 6)) > 0
+    back = family_from_json(json.loads(dumps(family_to_json(fam))))
+    for n in range(1, fam.truncation + 1):
+        assert np.array_equal(back.levels[n], fam.levels[n])
 
 
 def test_sigma_round_trip(mu22):
