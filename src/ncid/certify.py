@@ -17,9 +17,9 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, block_matrix, psd_floor
 from .cumulants import CumulantFamily, families, functional_of, values_in
-from .distribution import MAX_GENERATE_BYTES, MomentFunctional
-from .errors import CertificateFailed, DimensionMismatch, NCIDError, TooLarge, TruncationExceeded
-from .ncfunctions import eval_series
+from .distribution import MAX_GENERATE_BYTES, MomentFunctional, _checked_levels
+from .errors import CertificateFailed, NCIDError, TooLarge, TruncationExceeded
+from .ncfunctions import _point_entries, eval_series
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,13 +44,9 @@ class SigmaForm:
             raise NCIDError("sigma form needs at least level 0")
         v = self.value_dim
         k2 = self.pair.k * self.pair.k
-        for m in range(self.truncation + 1):
-            want = (k2,) * (m + 1) + (v, v)
-            got = np.asarray(self.levels[m]).shape
-            if got != want:
-                raise DimensionMismatch(
-                    f"sigma level {m} has shape {got}, expected {want}"
-                )
+        lv = _checked_levels("sigma", self.levels, range(self.truncation + 1),
+                             lambda m: (k2,) * (m + 1) + (v, v))
+        object.__setattr__(self, "levels", lv)
 
     @property
     def value_dim(self) -> int:
@@ -352,12 +348,6 @@ def levy_hincin_reconstruct(kind: str, alpha, sigma: SigmaForm, point):
     nonzero blocks longer than sigma.truncation + 2, even where powers of the
     point cancel earlier.
     """
-    entries = np.asarray(getattr(point, "entries", point), dtype=complex)
-    if entries.ndim != 4 or entries.shape[0] != entries.shape[1]:
-        raise DimensionMismatch("point entries must have shape (m, m, k, k)")
-    pair = sigma.pair
-    k = pair.k
-    if entries.shape[2] != k or entries.shape[3] != k:
-        raise DimensionMismatch(f"point entries must be {k} x {k} blocks")
+    entries = _point_entries(point, sigma.pair.k)
     family = family_from_levy_hincin(kind, alpha, sigma)
-    return eval_series(family.levels, pair, entries, False)
+    return eval_series(family.levels, sigma.pair, entries, False)

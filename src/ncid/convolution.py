@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .cumulants import CumulantFamily, check_kind, families, from_families
 from .distribution import MomentFunctional
-from .errors import NCIDError, PairMismatch
+from .errors import DimensionMismatch, NCIDError, PairMismatch
 
 
 def _check_pairs(items):
@@ -32,6 +32,8 @@ def convolve(kind: str, items):
     or (mu, nu) pairs for cfree) and inverts; one item is returned as is."""
     items = list(items)
     check_kind(kind)
+    if not items:
+        raise DimensionMismatch(f"a {kind} convolution needs at least one operand")
     if len(items) == 1:
         return items[0]
     summed = zip(*(families(kind, item) for item in items))

@@ -11,11 +11,14 @@ The stored convention matches MomentFunctional: level n is the value at
 (u_1, ..., u_{n-1}) with trailing argument 1, and the trailing argument of
 an evaluation multiplies from the right.
 
-Pivot-set bookkeeping: a term of the free recursion is indexed by the
-positions of the block containing letter 1 (the c-free recursion uses the
-block containing letter n, with a moment prefix on the left). Gaps between
-consecutive pivots are filled with lower nu-moments folded into the
-cumulant arguments by bimodularity.
+Free and c-free share one recursion.  A term of level n is indexed by the
+positions (pivots) of the block that holds the last letter n: the letters
+before its first pivot form a moment prefix of mu on the left, and the gaps
+between consecutive pivots are filled with lower nu-moments folded into the
+cumulant arguments by bimodularity.  With mu = nu the c-free equation
+(M_mu - 1) M_nu = M_mu cR(b M_nu) reduces to M - 1 = R(b M), so the free
+cumulants of nu are cR_{nu,nu}, solved inside B over the identity pair on
+M_k (Bozejko-Leinert-Speicher).
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import AlgebraPair
-from .distribution import MomentFunctional, contract_units, level_shape
-from .errors import DimensionMismatch, NCIDError, PairMismatch, TooLarge, TruncationExceeded
+from .distribution import MomentFunctional, _checked_levels, contract_units, level_shape
+from .errors import NCIDError, PairMismatch, TooLarge, TruncationExceeded
 
 KINDS = ("boolean", "free", "cfree")
 
@@ -55,13 +58,8 @@ class CumulantFamily:
     def __post_init__(self):
         check_kind(self.kind)
         k, d = self.pair.k, self.pair.d
-        lv = {}
-        for n in range(1, self.truncation + 1):
-            t = np.asarray(self.levels[n], dtype=np.complex128)
-            want = level_shape(k, d, n)
-            if t.shape != want:
-                raise DimensionMismatch(f"cumulant level {n} shape {t.shape}, expected {want}")
-            lv[n] = t
+        lv = _checked_levels("cumulant", self.levels, range(1, self.truncation + 1),
+                             lambda n: level_shape(k, d, n))
         object.__setattr__(self, "levels", lv)
 
     def evaluate(self, args) -> np.ndarray:
@@ -114,16 +112,6 @@ def functional_of(kind: str, fam: CumulantFamily) -> MomentFunctional:
 
 
 @lru_cache(maxsize=None)
-def _free_pivots(n: int) -> tuple:
-    """Pivot tuples (1, ...) over {1..n} excluding the full set."""
-    out = []
-    for r in range(0, n - 1):
-        for rest in itertools.combinations(range(2, n + 1), r):
-            out.append((1,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _cfree_pivots(n: int) -> tuple:
     """Pivot tuples (..., n) over {1..n} excluding the full set."""
     out = []
@@ -143,55 +131,9 @@ def _gap_block(nu_levels, units, start, end):
     return np.einsum("uab,...bc->u...ac", units, gt)
 
 
-def _tail_block(nu_levels, units, start, n):
-    """u_start * nu(X u_{start+1} ... u_{n-1} X), positions start..n-1."""
-    g = n - start
-    return np.einsum("uab,...bc->u...ac", units, nu_levels[g])
-
-
-def _free_term(n, pivots, kappa_levels, nu_levels, units, k):
-    """One pivot-set term of the free recursion, on stored basis tuples."""
-    p = len(pivots)
-    pool = iter(_SLOT_LETTERS)
-    pos = {i: next(pool) for i in range(1, n)}
-    slots = [next(pool) for _ in range(p - 1)]
-    operands = []
-    subs = []
-
-    ksub = "".join(slots) + "ab"
-    operands.append(kappa_levels[p])
-    subs.append(ksub)
-
-    for s in range(p - 1):
-        start, end = pivots[s], pivots[s + 1]
-        beta = _gap_block(nu_levels, units, start, end)
-        flat = beta.reshape(beta.shape[:-2] + (k * k,))
-        operands.append(flat)
-        subs.append("".join(pos[q] for q in range(start, end)) + slots[s])
-
-    last = pivots[-1]
-    if last < n:
-        tail = _tail_block(nu_levels, units, last, n)
-        operands.append(tail)
-        subs.append("".join(pos[q] for q in range(last, n)) + "bc")
-        out_val = "ac"
-    else:
-        out_val = "ab"
-
-    out = "".join(pos[q] for q in range(1, n)) + out_val
-    return np.einsum(",".join(subs) + "->" + out, *operands)
-
-
-def _free_level_sum(n, kappa_levels, nu_levels, units, k):
-    """Sum of all proper pivot-set terms at level n of the free recursion."""
-    total = np.zeros((k * k,) * (n - 1) + (k, k), dtype=np.complex128)
-    for pivots in _free_pivots(n):
-        total = total + _free_term(n, pivots, kappa_levels, nu_levels, units, k)
-    return total
-
-
-def _cfree_term(n, pivots, ck_levels, m_levels, nu_levels, units, eunits, k, d):
-    """One pivot-set term of the c-free recursion (moment prefix on the left)."""
+def _cfree_term(n, pivots, ck_levels, m_levels, nu_levels, units, eunits):
+    """One pivot-set term of the recursion (moment prefix on the left)."""
+    k = units.shape[-1]
     p = len(pivots)
     j1 = pivots[0]
     pool = iter(_SLOT_LETTERS)
@@ -224,12 +166,12 @@ def _cfree_term(n, pivots, ck_levels, m_levels, nu_levels, units, eunits, k, d):
     return np.einsum(",".join(subs) + "->" + out, *operands)
 
 
-def _cfree_level_sum(n, ck_levels, m_levels, nu_levels, units, eunits, k, d):
-    total = np.zeros((k * k,) * (n - 1) + (d, d), dtype=np.complex128)
+def _cfree_level_sum(n, ck_levels, m_levels, nu_levels, pair):
+    """Sum of all proper pivot-set terms at level n, over pair's units."""
+    units, eunits = pair.units, pair.embedded_units
+    total = np.zeros(level_shape(pair.k, pair.d, n), dtype=np.complex128)
     for pivots in _cfree_pivots(n):
-        total = total + _cfree_term(
-            n, pivots, ck_levels, m_levels, nu_levels, units, eunits, k, d
-        )
+        total = total + _cfree_term(n, pivots, ck_levels, m_levels, nu_levels, units, eunits)
     return total
 
 
@@ -294,18 +236,31 @@ def _pullback_levels(nu: MomentFunctional) -> dict:
     return {n: nu.pair.pullback_tensor(nu.raw(n)) for n in range(1, nu.truncation + 1)}
 
 
+def _cumulant_levels(mu_levels, nub, pair, trunc) -> dict:
+    """Levels 1..trunc of cR_{mu,nu} over pair, nu's levels nub inside B."""
+    ck = {1: mu_levels[1].copy()}
+    for n in range(2, trunc + 1):
+        ck[n] = mu_levels[n] - _cfree_level_sum(n, ck, mu_levels, nub, pair)
+    return ck
+
+
+def _moment_levels(ck_levels, nub, pair, trunc) -> dict:
+    """Levels 1..trunc of mu from cR_{mu,nu} over pair.  nub None means
+    nu = mu: level n reads nu only up to level n - 2, already built."""
+    m = {1: ck_levels[1].copy()}
+    nub = m if nub is None else nub
+    for n in range(2, trunc + 1):
+        m[n] = ck_levels[n] + _cfree_level_sum(n, ck_levels, m, nub, pair)
+    return m
+
+
 def free_from_moments(nu: MomentFunctional) -> CumulantFamily:
-    """Free cumulants of a B-valued functional, computed inside B."""
+    """Free cumulants of a B-valued functional: cR_{nu,nu} computed inside B."""
     _check_recursion_level(nu.truncation)
-    pair = nu.pair
-    k = pair.k
-    units = pair.units
     nub = _pullback_levels(nu)
-    kb = {1: nub[1].copy()}
-    for n in range(2, nu.truncation + 1):
-        kb[n] = nub[n] - _free_level_sum(n, kb, nub, units, k)
-    levels = {n: pair.embed_tensor(t) for n, t in kb.items()}
-    return CumulantFamily(kind="free", pair=pair, truncation=nu.truncation, levels=levels)
+    kb = _cumulant_levels(nub, nub, AlgebraPair.identity(nu.pair.k), nu.truncation)
+    levels = {n: nu.pair.embed_tensor(t) for n, t in kb.items()}
+    return CumulantFamily(kind="free", pair=nu.pair, truncation=nu.truncation, levels=levels)
 
 
 def moments_from_free(fam: CumulantFamily) -> MomentFunctional:
@@ -313,12 +268,8 @@ def moments_from_free(fam: CumulantFamily) -> MomentFunctional:
         raise NCIDError(f"expected a free family, got {fam.kind!r}")
     _check_recursion_level(fam.truncation)
     pair = fam.pair
-    k = pair.k
-    units = pair.units
     kb = {n: pair.pullback_tensor(t) for n, t in fam.levels.items()}
-    nub = {1: kb[1].copy()}
-    for n in range(2, fam.truncation + 1):
-        nub[n] = kb[n] + _free_level_sum(n, kb, nub, units, k)
+    nub = _moment_levels(kb, None, AlgebraPair.identity(pair.k), fam.truncation)
     levels = {n: pair.embed_tensor(t) for n, t in nub.items()}
     return MomentFunctional(pair=pair, truncation=fam.truncation, levels=levels)
 
@@ -327,16 +278,10 @@ def cfree_from_moments(mu: MomentFunctional, nu: MomentFunctional) -> CumulantFa
     """C-free cumulants of the pair (mu, nu); nu must be B-valued."""
     if not mu.pair.same_pair(nu.pair):
         raise PairMismatch("mu and nu live over different algebra pairs")
-    pair = mu.pair
-    k, d = pair.k, pair.d
     trunc = min(mu.truncation, nu.truncation)
     _check_recursion_level(trunc)
-    units, eunits = pair.units, pair.embedded_units
-    nub = _pullback_levels(nu)
-    ck = {1: mu.raw(1).copy()}
-    for n in range(2, trunc + 1):
-        ck[n] = mu.raw(n) - _cfree_level_sum(n, ck, mu.levels, nub, units, eunits, k, d)
-    return CumulantFamily(kind="cfree", pair=pair, truncation=trunc, levels=ck)
+    ck = _cumulant_levels(mu.levels, _pullback_levels(nu), mu.pair, trunc)
+    return CumulantFamily(kind="cfree", pair=mu.pair, truncation=trunc, levels=ck)
 
 
 def moments_from_cfree(fam: CumulantFamily, nu: MomentFunctional) -> MomentFunctional:
@@ -344,16 +289,10 @@ def moments_from_cfree(fam: CumulantFamily, nu: MomentFunctional) -> MomentFunct
         raise NCIDError(f"expected a cfree family, got {fam.kind!r}")
     if not fam.pair.same_pair(nu.pair):
         raise PairMismatch("cumulant family and nu live over different algebra pairs")
-    pair = fam.pair
-    k, d = pair.k, pair.d
     trunc = min(fam.truncation, nu.truncation)
     _check_recursion_level(trunc)
-    units, eunits = pair.units, pair.embedded_units
-    nub = _pullback_levels(nu)
-    m = {1: fam.levels[1].copy()}
-    for n in range(2, trunc + 1):
-        m[n] = fam.levels[n] + _cfree_level_sum(n, fam.levels, m, nub, units, eunits, k, d)
-    return MomentFunctional(pair=pair, truncation=trunc, levels=m)
+    m = _moment_levels(fam.levels, _pullback_levels(nu), fam.pair, trunc)
+    return MomentFunctional(pair=fam.pair, truncation=trunc, levels=m)
 
 
 def family_of(kind: str, data) -> CumulantFamily:

@@ -34,6 +34,21 @@ def level_shape(k: int, d: int, n: int) -> tuple:
     return (k * k,) * (n - 1) + (d, d)
 
 
+def _checked_levels(what: str, levels: dict, ns, shape_of) -> dict:
+    """levels[n] for each n in ns as a complex array of shape shape_of(n);
+    DimensionMismatch for a missing level or a wrong shape."""
+    out = {}
+    for n in ns:
+        if n not in levels:
+            raise DimensionMismatch(f"missing {what} level {n}")
+        t = np.asarray(levels[n], dtype=np.complex128)
+        want = shape_of(n)
+        if t.shape != want:
+            raise DimensionMismatch(f"{what} level {n} has shape {t.shape}, expected {want}")
+        out[n] = t
+    return out
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PolynomialWord:
     """The monomial b_0 X b_1 X ... X b_n; degree = number of X letters."""
@@ -75,15 +90,8 @@ class MomentFunctional:
 
     def __post_init__(self):
         k, d = self.pair.k, self.pair.d
-        lv = {}
-        for n in range(1, self.truncation + 1):
-            if n not in self.levels:
-                raise DimensionMismatch(f"missing moment level {n}")
-            t = np.asarray(self.levels[n], dtype=np.complex128)
-            want = level_shape(k, d, n)
-            if t.shape != want:
-                raise DimensionMismatch(f"level {n} has shape {t.shape}, expected {want}")
-            lv[n] = t
+        lv = _checked_levels("moment", self.levels, range(1, self.truncation + 1),
+                             lambda n: level_shape(k, d, n))
         object.__setattr__(self, "levels", lv)
 
     def raw(self, n: int) -> np.ndarray:

@@ -5,14 +5,14 @@ import pytest
 
 from ncid.algebra import AlgebraPair
 from ncid.certify import certify
-from ncid.convolution import boolean_convolve, cfree_convolve, free_convolve, root
+from ncid.convolution import boolean_convolve, cfree_convolve, convolve, free_convolve, root
 from ncid.cumulants import (
     boolean_from_moments,
     cfree_from_moments,
     free_from_moments,
 )
 from ncid.distribution import generate_realizable, scalar_from_moments
-from ncid.errors import PairMismatch
+from ncid.errors import DimensionMismatch, PairMismatch
 
 from conftest import (
     SEMICIRCLE_MOMENTS,
@@ -80,6 +80,16 @@ def test_pair_mismatch_rejected(pair22, pair24):
     b = generate_realizable(0, pair24, 4, ambient=8)
     with pytest.raises(PairMismatch):
         boolean_convolve([a, b])
+
+
+@pytest.mark.parametrize(
+    "kind,named",
+    [("boolean", boolean_convolve), ("free", free_convolve), ("cfree", cfree_convolve)],
+)
+def test_empty_convolution_rejected(kind, named):
+    for call in (lambda: named([]), lambda: convolve(kind, [])):
+        with pytest.raises(DimensionMismatch, match="at least one operand"):
+            call()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

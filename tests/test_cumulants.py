@@ -170,6 +170,10 @@ def test_free_from_moments_rejects_d_valued(pair24):
     nu = generate_realizable(2, pair24, 6, ambient=8)
     with pytest.raises(NotBValued):
         free_from_moments(nu)
+    # a family whose levels leave the embedded copy of B has no free moments
+    fam = CumulantFamily(kind="free", pair=pair24, truncation=6, levels=nu.levels)
+    with pytest.raises(NotBValued):
+        moments_from_free(fam)
 
 
 def test_star_compatibility_of_families(mu22, nu22):
@@ -226,11 +230,17 @@ def test_cfree_matches_weight_machinery(pair22):
         assert relerr(lhs, rhs) < 1e-12
 
 
-def test_cfree_equals_free_when_laws_coincide(nu22):
+@pytest.mark.parametrize("law", ["k2d2", "k2d4", "k1d1n12"])
+def test_cfree_equals_free_when_laws_coincide(law, nu22, pair24):
     """With mu = nu the c-free family collapses to the free one, embedded."""
-    cf = cfree_from_moments(nu22, nu22)
-    fr = free_from_moments(nu22)
-    for n in range(1, 7):
+    nu = {
+        "k2d2": lambda: nu22,
+        "k2d4": lambda: bvalued_realizable(27, pair24, 6),
+        "k1d1n12": lambda: generate_realizable(28, AlgebraPair.identity(1), 12, ambient=2),
+    }[law]()
+    cf = cfree_from_moments(nu, nu)
+    fr = free_from_moments(nu)
+    for n in range(1, nu.truncation + 1):
         assert relerr(cf.levels[n], fr.levels[n]) < 1e-11
 
 

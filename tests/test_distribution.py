@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncid.algebra import AlgebraPair, adjoint_unit, matrix_units
-from ncid.certify import gram
+from ncid.certify import SigmaForm, gram
+from ncid.cumulants import CumulantFamily
 from ncid.distribution import (
     MAX_GENERATE_TRUNCATION,
     MomentFunctional,
@@ -191,6 +192,23 @@ def test_eval_word_rejects_beyond_truncation(mu22):
 def test_eval_word_rejects_wrong_block_size(mu22):
     with pytest.raises(DimensionMismatch):
         mu22.eval_word([np.eye(3)])
+
+
+def test_missing_or_misshapen_levels_are_dimension_mismatch(mu22):
+    # Moments, cumulant families and sigma forms check their levels alike.
+    pair, moments = mu22.pair, {n: mu22.raw(n) for n in (1, 2, 3)}
+    cases = (
+        ("moment", lambda lv: MomentFunctional(pair, 3, lv), moments),
+        ("cumulant", lambda lv: CumulantFamily("free", pair, 3, lv), moments),
+        ("sigma", lambda lv: SigmaForm(pair, "D", 2, lv), {m: mu22.raw(m + 2) for m in (0, 1, 2)}),
+    )
+    for what, make, levels in cases:
+        top = max(levels)
+        make(levels)
+        with pytest.raises(DimensionMismatch, match=f"missing {what} level {top}"):
+            make({n: t for n, t in levels.items() if n != top})
+        with pytest.raises(DimensionMismatch, match=f"{what} level {top} has shape"):
+            make({**levels, top: levels[top][0]})
 
 
 def test_degree_zero_word_is_embedded_coefficient(mu22):

@@ -325,17 +325,26 @@ def test_transforms_build_no_cumulant_tensors(monkeypatch, mu22, nu22):
 
 
 def test_transform_errors(mu22, nu22, mu24, pair24):
+    alpha, sigma = levy_hincin_extract("boolean", mu22)
     evaluators = (
         lambda e: eval_B(mu22, e),
         lambda e: eval_R(nu22, e),
         lambda e: eval_cR(mu22, nu22, e),
+        lambda e: eval_M(mu22, e),
+        lambda e: eval_series(mu22.levels, mu22.pair, e, False),
+        lambda e: levy_hincin_reconstruct("boolean", alpha, sigma, e),
     )
     cyclic = np.zeros((2, 2, 2, 2), dtype=complex)
     cyclic[0, 1] = cyclic[1, 0] = np.eye(2)
+    # (2, 3) grids of blocks are not points of any M_m(B), zero or not
+    non_square = np.zeros((2, 3, 2, 2), dtype=complex)
+    nonzero = non_square.copy()
+    nonzero[0, 1] = np.eye(2)
     too_long = triangular_probe(rand_coeffs(5, 2, 7))
     for evaluate in evaluators:
-        with pytest.raises(DimensionMismatch):
-            evaluate(cyclic)
+        for bad in (cyclic, non_square, nonzero):
+            with pytest.raises(DimensionMismatch):
+                evaluate(bad)
         with pytest.raises(TruncationExceeded):
             evaluate(too_long)
     probe = triangular_probe(rand_coeffs(3, 2, 2))
