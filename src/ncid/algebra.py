@@ -14,9 +14,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotBValued, NotHermitian, NotSquare
+from .errors import DimensionMismatch, NotBValued, NotHermitian, NotSquare, TooLarge
 
 DEFAULT_TOL = 1e-9
+# Most bytes one size-checked construction may allocate; it refuses larger requests.
+MAX_GENERATE_BYTES = 2**30
 
 
 def cnorm(m) -> float:
@@ -75,6 +77,15 @@ def block_matrix(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(f * v, g * w)
 
 
+def check_pair_size(k: int, d: int) -> None:
+    """Refuse (TooLarge), before it is built, a pair whose (d^2, k^2) complex
+    embed matrix passes MAX_GENERATE_BYTES."""
+    need = 16 * k * k * d * d
+    if need > MAX_GENERATE_BYTES:
+        raise TooLarge(f"pair k={k}, d={d} needs {need} bytes for its embedding, "
+                       f"above {MAX_GENERATE_BYTES}")
+
+
 def unit_index(i: int, j: int, k: int) -> int:
     return i * k + j
 
@@ -118,6 +129,7 @@ class AlgebraPair:
 
     @classmethod
     def identity(cls, k: int) -> "AlgebraPair":
+        check_pair_size(k, k)
         return cls(k=k, d=k, embed_matrix=np.eye(k * k, dtype=np.complex128))
 
     @classmethod
@@ -125,6 +137,7 @@ class AlgebraPair:
         """The standard embedding b -> b (x) 1_{d/k}."""
         if d % k != 0:
             raise DimensionMismatch(f"k={k} must divide d={d}")
+        check_pair_size(k, d)
         r = d // k
         em = np.zeros((d * d, k * k), dtype=np.complex128)
         eye = np.eye(r, dtype=np.complex128)

@@ -274,6 +274,13 @@ def _certify_families(kind, fams, degree, tol) -> Certificate:
     return min(certs, key=lambda cert: cert.min_eig)
 
 
+def _check_tol(tol) -> None:
+    """Refuse a tolerance that is not finite and >= 0: a negative one moves
+    the PSD floor above zero, and a non-finite one has no JSON form."""
+    if not 0.0 <= tol < float("inf"):
+        raise NCIDError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
 def certify(kind: str, data, degree: int, tol: float = DEFAULT_TOL) -> Certificate:
     """Certify infinite divisibility (or positivity, for kind 'condition1').
 
@@ -285,6 +292,7 @@ def certify(kind: str, data, degree: int, tol: float = DEFAULT_TOL) -> Certifica
     form of the pair must be PSD; the reported eigenvalue is the smaller.
     condition1: positivity of an arbitrary functional on the full domain.
     """
+    _check_tol(tol)
     if kind in _POSITIVITY:
         return _judge(kind, degree, data, False, tol)
     return _certify_families(kind, families(kind, data), degree, tol)
@@ -314,6 +322,7 @@ def levy_hincin_extract(kind: str, data, tol: float = DEFAULT_TOL):
     is raised instead of returning garbage data.  Each cumulant family is
     computed once and serves both the certificate and the data.
     """
+    _check_tol(tol)
     fams = families(kind, data)
     fam = fams[-1]
     if fam.truncation < 2:

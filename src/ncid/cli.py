@@ -37,7 +37,7 @@ from .algebra import DEFAULT_TOL, AlgebraPair  # noqa: E402
 from .certify import certify, levy_hincin_extract  # noqa: E402
 from .convolution import convolve, root  # noqa: E402
 from .cumulants import KINDS, family_of, is_pair, moments_of  # noqa: E402
-from .distribution import generate_realizable, scalar_from_moments  # noqa: E402
+from .distribution import generate_realizable, scalar_from_moments, seeded_rng  # noqa: E402
 from .errors import CertificateFailed, NCIDError  # noqa: E402
 from .ncfunctions import (  # noqa: E402
     check_cauchy_relation,
@@ -236,7 +236,7 @@ def _run_selftest(args) -> int:
         worst = max(relerr(back.raw(n), mu.raw(n)) for n in range(1, 7))
         record(f"roundtrip_{kind}", worst, worst <= 1e-12)
 
-    rng = np.random.default_rng(args.seed)
+    rng = seeded_rng(args.seed)
     model = build_boolean(mu)
     bs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
     worst = max(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import AlgebraPair
 from .distribution import MomentFunctional, _checked_levels, contract_units, level_shape
-from .errors import NCIDError, PairMismatch, TooLarge, TruncationExceeded
+from .errors import DimensionMismatch, NCIDError, PairMismatch, TooLarge, TruncationExceeded
 
 KINDS = ("boolean", "free", "cfree")
 
@@ -57,6 +57,8 @@ class CumulantFamily:
 
     def __post_init__(self):
         check_kind(self.kind)
+        if self.truncation < 1:
+            raise DimensionMismatch("truncation must be >= 1")
         k, d = self.pair.k, self.pair.d
         lv = _checked_levels("cumulant", self.levels, range(1, self.truncation + 1),
                              lambda n: level_shape(k, d, n))

@@ -13,11 +13,10 @@ import dataclasses
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraPair, adjoint, cnorm
-from .errors import DimensionMismatch, NotHermitian, SeedExhausted, TooLarge, TruncationExceeded
+from .algebra import DEFAULT_TOL, MAX_GENERATE_BYTES, AlgebraPair, adjoint, cnorm
+from .errors import (DimensionMismatch, NCIDError, NotHermitian, SeedExhausted, TooLarge,
+                     TruncationExceeded)
 
-# Most bytes generate_realizable may allocate; it refuses larger requests.
-MAX_GENERATE_BYTES = 2**30
 # Largest truncation whose einsum calls fit numpy's 64 subscripts (N + 2 at truncation N).
 MAX_GENERATE_TRUNCATION = 62
 
@@ -28,6 +27,14 @@ def contract_units(tensor: np.ndarray, coeffs) -> np.ndarray:
     for b in coeffs:
         out = np.tensordot(np.asarray(b, dtype=np.complex128).reshape(-1), out, axes=([0], [0]))
     return out
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """The random generator of a seed; NCIDError unless the seed is a
+    non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise NCIDError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def level_shape(k: int, d: int, n: int) -> tuple:
@@ -89,6 +96,8 @@ class MomentFunctional:
     levels: dict
 
     def __post_init__(self):
+        if self.truncation < 1:
+            raise DimensionMismatch("truncation must be >= 1")
         k, d = self.pair.k, self.pair.d
         lv = _checked_levels("moment", self.levels, range(1, self.truncation + 1),
                              lambda n: level_shape(k, d, n))
@@ -217,7 +226,7 @@ def generate_realizable(seed: int, pair: AlgebraPair, truncation: int, ambient: 
     if need > MAX_GENERATE_BYTES:
         raise TooLarge(f"truncation {truncation}, k={k}, d={d}, ambient={ambient} "
                        f"needs at least {need} bytes, above {MAX_GENERATE_BYTES}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     g = rng.standard_normal((ambient, ambient)) + 1j * rng.standard_normal((ambient, ambient))
     a = (g + adjoint(g)) / 2.0
     a = a / max(1.0, float(np.linalg.norm(a, 2)))

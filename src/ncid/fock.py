@@ -1,24 +1,36 @@
 """Fock-space realizations of boolean, free and c-free distributions.
 
-Vectors are sparse dicts from basis keys to coordinate matrices.  Keys:
+A basis key lists words (t, w) of component t: w = (u0, ..., u_{j-1}) is the
+left-bordered X-ended word u0 X u1 ... u_{j-1} X.  The key's shape is the key
+with each word replaced by (t, j):
 
 boolean   ()                      vacuum, coordinate in D
-          (tag, w)                w = (u0, ..., u_{j-1}) is the left-bordered
-                                  X-ended word u0 X u1 ... u_{j-1} X of
-                                  component tag, coordinate in D
+          (t, j)                  one centered word, coordinate in D
 free      ()                      vacuum, coordinate in B
-          (h1, ..., hr)           tensor of H-factors, each h = (tag, w),
-                                  coordinate in B
-cfree     ('D', htuple)           first summand, coordinate in D
+          ((t1, j1), ..., (tr, jr))   tensor of H-factors, coordinate in B
+cfree     ('D', hs)               first summand: H-tensor shape hs, in D
           ('O',)                  second summand (the theta vacuum), in D
-          ('K', htuple, kw)       third summand with a single K-leg word,
-                                  coordinate in D
+          ('K', hs, (t, j))       third summand with a single K-leg word, in D
+
+A vector maps shapes to arrays of shape (k^2,) * letters + (v, cols), one
+axis per letter in key order (H-factors, then the K-leg word), then the v
+rows of the coordinate (v = k for free models, d otherwise) and any columns.
+create, insert, transfer, k_create and k_insert prepend the letter
+sum_i e_ii, a new leading axis.  annihilate, gauge, k_annihilate,
+apply_coefficient and the boolean transfer correction are one matmul of a
+value table against the front row: the first letter's row, or the vacuum
+coordinate.  A B-valued table goes through the embedding exactly when the
+result's front is a D-vacuum: the boolean (), ('O',) and ('D', ()).
 
 The operator table _OPS lists each kind's operators in the order the
 represented variable sums them, with the root-scale key of each.  The c-free
 H side is the free model's H-tensor with a D-vacuum or a K-leg word beside
-it, so its four H operators are the free ones (_apply_op_h); only the K-leg
+it, so its four H operators are the free ones (_h_terms); only the K-leg
 operators are its own.
+
+fock_basis lists the keys shape by shape, lexicographic in the letters
+within a shape, so operator_matrix applies an operator once per shape, to
+the identity on its keys, and gram_matrix fills one block per shape pair.
 
 Multi-component models share one vacuum; a component's operators act only on
 its own letters, which is exactly what makes the mixed moments factor the
@@ -28,11 +40,12 @@ way the corresponding independence demands.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, islice, product
 from math import sqrt
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraPair, block_matrix, psd_floor, require_hermitian
+from .algebra import DEFAULT_TOL, AlgebraPair, psd_floor, require_hermitian
 from .certify import (
     SigmaForm,
     _word_blocks,
@@ -41,7 +54,6 @@ from .certify import (
     hermitian_gram,
     sigma_gram,
     word_family,
-    word_pairing,
 )
 from .distribution import MomentFunctional
 from .errors import (
@@ -71,28 +83,6 @@ class FockModel:
     depth: int
     components: tuple
     scales: tuple
-
-
-def _vadd(vec: dict, key, val) -> None:
-    if key in vec:
-        vec[key] = vec[key] + val
-    else:
-        vec[key] = val
-
-
-def _clean(vec: dict) -> dict:
-    return {k: v for k, v in vec.items() if np.abs(v).max(initial=0.0) > 0.0}
-
-
-def _border(b: np.ndarray, w: tuple, k: int):
-    """Left-multiply the bordered word u0 X ... by b: scalar-weighted words."""
-    i, j = divmod(w[0], k)
-    out = []
-    for a in range(k):
-        c = b[a, i]
-        if c != 0:
-            out.append((c, (a * k + j,) + w[1:]))
-    return out
 
 
 def _check_gram_psd(mat: np.ndarray, what: str, tol: float = DEFAULT_TOL) -> None:
@@ -225,6 +215,79 @@ def cfree_root_model(model: FockModel, n: int) -> FockModel:
 
 
 # ---------------------------------------------------------------------------
+# key shapes
+
+
+def _tensors(ncomp: int, degree: int):
+    """H-tensor shapes of exactly this degree, in sorted order."""
+    if degree == 0:
+        yield ()
+    for t in range(ncomp):
+        for j in range(1, degree + 1):
+            for rest in _tensors(ncomp, degree - j):
+                yield ((t, j),) + rest
+
+
+def _shapes(model: FockModel, cap: int):
+    """Key shapes up to total degree cap, in basis order, listed lazily."""
+    ncomp, cap = len(model.components), max(cap, 0)
+    tensors = (h for deg in range(cap + 1) for h in _tensors(ncomp, deg))
+    if model.kind == "boolean":
+        return chain([()], ((t, j) for j in range(1, cap + 1) for t in range(ncomp)))
+    if model.kind == "free":
+        return tensors
+    legs = (("K", h, (t, j)) for deg in range(cap) for h in _tensors(ncomp, deg)
+            for j in range(1, cap - deg + 1) for t in range(ncomp))
+    return chain([("O",)], (("D", h) for h in tensors), legs)
+
+
+def _letters(shape) -> int:
+    """Number of letters of a shape: its degree, and its array's axes."""
+    if shape and isinstance(shape[0], int):  # one word (t, j)
+        return shape[1]
+    return sum(_letters(part) for part in shape if isinstance(part, tuple))
+
+
+def _key(shape, letters) -> tuple:
+    """The basis key of a shape, its words filled from the letters iterator."""
+    if shape and isinstance(shape[0], int):
+        return shape[0], tuple(islice(letters, shape[1]))
+    return tuple(_key(part, letters) if isinstance(part, tuple) else part for part in shape)
+
+
+def _coord_dim(model: FockModel) -> int:
+    return model.pair.k if model.kind == "free" else model.pair.d
+
+
+def _layout(model: FockModel, cap: int, copies: int):
+    """(shapes, starts, n): the shapes up to total degree cap, the index of
+    each one's first basis key, and the number of keys.  The count is checked
+    against the budget of copies Gram-sized arrays (check_gram_size) shape by
+    shape, so a cap far out of reach is refused (TooLarge) before its shapes
+    are listed; copies 0 checks nothing."""
+    v, k2 = _coord_dim(model), model.pair.k ** 2
+    shapes, starts, n = [], [], 0
+    for shape in _shapes(model, cap):
+        shapes.append(shape)
+        starts.append(n)
+        n += k2 ** _letters(shape)
+        check_gram_size(n, v, copies)
+    return shapes, starts, n
+
+
+def fock_basis(model: FockModel, cap: int):
+    """Basis keys up to total degree cap: shape by shape (the boolean ones by
+    word length, then component), lexicographic in the letters within a
+    shape."""
+    k2 = model.pair.k ** 2
+    return [
+        _key(shape, iter(letters))
+        for shape in _shapes(model, cap)
+        for letters in product(range(k2), repeat=_letters(shape))
+    ]
+
+
+# ---------------------------------------------------------------------------
 # vector operations
 
 
@@ -242,221 +305,152 @@ def vacuum_vector(model: FockModel, state: str = "phi") -> dict:
     return {(): np.eye(model.pair.k, dtype=complex)}
 
 
-def _h_degree(htuple) -> int:
-    return sum(len(h[1]) for h in htuple)
+def _prepend(k: int, arr: np.ndarray) -> np.ndarray:
+    """arr with the letter sum_i e_ii put in front."""
+    out = np.zeros((k * k,) + arr.shape, dtype=complex)
+    out[:: k + 1] = arr
+    return out
 
 
-def _h_parts(kind: str, key):
-    """(h, wrap, kw) of a free or c-free key: its H-tensor h, the map that
-    puts a tensor back in h's place (tuple, the identity, on a free key) and
-    the K-leg word (None off the K leg).  None for the theta vacuum ('O',)."""
-    if kind == "free":
-        return key, tuple, None
-    if key[0] == "D":
-        return key[1], lambda h: ("D", h), None
-    if key[0] == "K":
-        return key[1], lambda h: ("K", h, key[2]), key[2]
-    return None
+def _lmul(table: np.ndarray, arr: np.ndarray, m: int = 0) -> np.ndarray:
+    """Left multiplication by an (n, r, r) table over the n words of arr's
+    first m letters: the value at each word multiplies the front row behind
+    it, and the m letters are summed out."""
+    n, r, _ = table.shape
+    out = table.transpose(1, 0, 2).reshape(r, n * r) @ arr.reshape(n * r, -1)
+    return out.reshape(arr.shape[m:])
 
 
-def _lmult(model: FockModel, val: np.ndarray, h: tuple, wrap, kw, c, out: dict) -> None:
-    """Add val (h c) to out for a B-value val: val borders the first factor
-    of h; past the tensor it lands on the free vacuum coordinate, on the
-    c-free D-vacuum through the embedding, or on the K-leg word."""
-    k = model.pair.k
-    if h:
-        tag, w = h[0]
-        for coef, w2 in _border(val, w, k):
-            _vadd(out, wrap(((tag, w2),) + h[1:]), coef * c)
-    elif kw is not None:
-        tag, w = kw
-        for coef, w2 in _border(val, w, k):
-            _vadd(out, ("K", (), (tag, w2)), coef * c)
-    elif model.kind == "free":
-        _vadd(out, (), val @ c)
-    else:
-        _vadd(out, ("D", ()), model.pair.embed(val) @ c)
+def _b_table(model: FockModel, shape, table: np.ndarray) -> np.ndarray:
+    """A B-valued table as it multiplies the front of a result of this shape:
+    through the embedding on a D-vacuum, the only front in D."""
+    if model.kind != "free" and _letters(shape) == 0:
+        return model.pair.embed_tensor(table)
+    return table
 
 
 def apply_coefficient(model: FockModel, vec: dict, b) -> dict:
     b = np.asarray(b, dtype=complex)
     k = model.pair.k
-    out: dict = {}
-    for key, c in vec.items():
-        if model.kind == "boolean":
-            if key == ():
-                _vadd(out, key, model.pair.embed(b) @ c)
-            else:
-                tag, w = key
-                for coef, w2 in _border(b, w, k):
-                    _vadd(out, (tag, w2), coef * c)
-            continue
-        parts = _h_parts(model.kind, key)
-        if parts is None:
-            _vadd(out, key, model.pair.embed(b) @ c)
-        else:
-            _lmult(model, b, *parts, c, out)
-    return _clean(out)
+    if b.shape != (k, k):
+        raise DimensionMismatch(f"expected ({k},{k}) element of B, got {b.shape}")
+    return {shape: _lmul(_b_table(model, shape, b[None]), arr) for shape, arr in vec.items()}
 
 
-def _bool_word_moment(comp: dict, w: tuple, pair: AlgebraPair) -> np.ndarray:
-    j = len(w)
-    if j > comp["trunc"]:
-        raise TruncationExceeded(
-            f"state extraction needs moments to degree {j}, stored {comp['trunc']}"
-        )
-    tail = comp["levels"][j][w[1:]] if j > 1 else comp["levels"][1]
-    return pair.embedded_units[w[0]] @ tail
-
-
-def _bool_q(comp: dict, w: tuple, pair: AlgebraPair) -> np.ndarray:
-    """Centered return mu(Xw) - mu(X) mu(w).  model_moment never reads a
-    level past the truncation, as the depth is at most the truncation; on
-    an operator_matrix basis capped above it, such levels count as zero."""
-    j = len(w)
-    lev = comp["levels"]
+def _word_means(comp: dict, pair: AlgebraPair, j: int) -> np.ndarray:
+    """mu_t(w) over the words w of length j <= the truncation, as a
+    (k^2)^j x d x d table: the embedded first letter times level j."""
     d = pair.d
-    mxw = lev[j + 1][w] if j + 1 <= comp["trunc"] else np.zeros((d, d), dtype=complex)
-    if j <= comp["trunc"]:
-        mw = _bool_word_moment(comp, w, pair)
-        return mxw - lev[1] @ mw
-    return mxw
+    tails = comp["levels"][j].reshape(1, -1, d, d)
+    return (pair.embedded_units[:, None] @ tails).reshape(-1, d, d)
 
 
-def _apply_op_boolean(model, name, vec, t) -> dict:
+def _boolean_terms(model, name, shape, arr, t):
     """Operators on centered word labels: the key (t, w) stands for the
     vector w - mu_t(w) vacuum, which is orthogonal to the vacuum.  Left
     coefficient multiplication maps centered labels to centered labels, the
     creation vector xi is exactly the centered X, and the transfer part picks
-    up a centered degree-one correction instead of a vacuum return."""
-    comp = model.components[t]
-    k = model.pair.k
-    out: dict = {}
-    for key, c in vec.items():
-        if key == ():
-            if name == "create":
-                for i in range(k):
-                    _vadd(out, (t, (i * k + i,)), c)
-            elif name == "gauge":
-                _vadd(out, (), comp["levels"][1] @ c)
-            continue
-        tag, w = key
-        if tag != t:
-            continue
-        if name == "annihilate":
-            _vadd(out, (), _bool_q(comp, w, model.pair) @ c)
-        elif name == "transfer":
-            if len(w) + 1 <= model.depth:
-                for i in range(k):
-                    _vadd(out, (t, (i * k + i,) + w), c)
-            if len(w) <= comp["trunc"]:
-                mw = _bool_word_moment(comp, w, model.pair)
-                for i in range(k):
-                    _vadd(out, (t, (i * k + i,)), -(mw @ c))
-    return _clean(out)
+    up a centered degree-one correction instead of a vacuum return.  Words
+    past the truncation, which only an operator_matrix basis capped above it
+    holds, read its missing levels as zero."""
+    comp, k = model.components[t], model.pair.k
+    if not shape:
+        if name == "create":
+            yield (t, 1), _prepend(k, arr)
+        elif name == "gauge":
+            yield (), _lmul(comp["levels"][1][None], arr)
+        return
+    tag, j = shape
+    if tag != t:
+        return
+    if name == "transfer" and j < model.depth:
+        yield (t, j + 1), _prepend(k, arr)
+    if j > comp["trunc"]:
+        return
+    if name == "annihilate":
+        # centered return mu(Xw) - mu(X) mu(w)
+        q = -(comp["levels"][1] @ _word_means(comp, model.pair, j))
+        if j < comp["trunc"]:
+            q += comp["levels"][j + 1].reshape(q.shape)
+        yield (), _lmul(q, arr, j)
+    elif name == "transfer":
+        yield (t, 1), -_prepend(k, _lmul(_word_means(comp, model.pair, j), arr, j))
 
 
-def _free_annihilate_value(comp: dict, w: tuple, k: int) -> np.ndarray:
-    j = len(w)
-    kb = comp["kb"]
-    if j + 1 not in kb:
-        return np.zeros((k, k), dtype=complex)
-    return kb[j + 1][w] if j > 0 else kb[1]
-
-
-def _apply_op_h(model, name, vec, t) -> dict:
-    """A free operator of component t on the H-tensor of each key: the free
+def _h_terms(model, name, shape, arr, t):
+    """A free operator of component t on the H-tensor of a shape: the free
     model's operators, and the c-free H side on its first and third
     summands.  A K-leg word counts towards the depth."""
-    comp = model.components[t]
-    k = model.pair.k
-    out: dict = {}
-    for key, c in vec.items():
-        parts = _h_parts(model.kind, key)
-        if parts is None:
-            continue
-        h, wrap, kw = parts
-        degree = _h_degree(h) + (len(kw[1]) if kw else 0)
-        if name == "create":
-            if degree + 1 <= model.depth:
-                for i in range(k):
-                    _vadd(out, wrap(((t, (i * k + i,)),) + h), c)
-        elif name == "gauge":
-            # left multiplication by alpha on the whole module
-            _lmult(model, comp["alpha"], h, wrap, kw, c, out)
-        elif h and h[0][0] == t:
-            w = h[0][1]
-            if name == "annihilate":
-                _lmult(model, _free_annihilate_value(comp, w, k), h[1:], wrap, kw, c, out)
-            elif degree + 1 <= model.depth:
-                for i in range(k):
-                    _vadd(out, wrap(((t, (i * k + i,) + w),) + h[1:]), c)
-    return _clean(out)
+    if model.kind == "free":
+        hs, wrap = shape, tuple
+    elif shape == ("O",):
+        return
+    else:  # ('D', hs) or ('K', hs, kw): wrap puts an H-tensor shape in hs's place
+        hs, wrap = shape[1], lambda h: (shape[0], h) + shape[2:]
+    comp, k = model.components[t], model.pair.k
+    room = _letters(shape) < model.depth
+    if name == "create":
+        if room:
+            yield wrap(((t, 1),) + hs), _prepend(k, arr)
+    elif name == "gauge":
+        # left multiplication by alpha on the whole module
+        yield shape, _lmul(_b_table(model, shape, comp["alpha"][None]), arr)
+    elif hs and hs[0][0] == t:
+        j = hs[0][1]
+        if name == "annihilate":
+            if j + 1 in comp["kb"]:
+                rest = wrap(hs[1:])
+                table = comp["kb"][j + 1].reshape(-1, k, k)
+                yield rest, _lmul(_b_table(model, rest, table), arr, j)
+        elif room:
+            yield wrap(((t, j + 1),) + hs[1:]), _prepend(k, arr)
 
 
-def _apply_op_k(model, name, vec, t) -> dict:
+def _k_terms(model, name, shape, arr, t):
     """The c-free K-leg operators of component t: they act on the theta
     vacuum and on K-leg words with nothing on the H side."""
-    comp = model.components[t]
-    k = model.pair.k
-    out: dict = {}
-    for key, c in vec.items():
-        if key == ("O",):
-            if name == "k_create" and model.depth >= 1:
-                for i in range(k):
-                    _vadd(out, ("K", (), (t, (i * k + i,))), c)
-            elif name == "gauge_k":
-                _vadd(out, key, comp["alpha2"] @ c)
-            continue
-        if key[0] != "K" or key[1] or key[2][0] != t:
-            continue
-        w = key[2][1]
-        if name == "k_annihilate":
-            ckd = comp["ckd"]
-            if len(w) + 1 in ckd:
-                _vadd(out, ("O",), (ckd[len(w) + 1][w] if w else ckd[1]) @ c)
-        elif name == "k_insert" and len(w) + 1 <= model.depth:
-            for i in range(k):
-                _vadd(out, ("K", (), (t, (i * k + i,) + w)), c)
-    return _clean(out)
+    comp, k = model.components[t], model.pair.k
+    if shape == ("O",):
+        if name == "k_create" and model.depth >= 1:
+            yield ("K", (), (t, 1)), _prepend(k, arr)
+        elif name == "gauge_k":
+            yield shape, _lmul(comp["alpha2"][None], arr)
+    elif shape[0] == "K" and not shape[1] and shape[2][0] == t:
+        j = shape[2][1]
+        if name == "k_annihilate" and j + 1 in comp["ckd"]:
+            table = comp["ckd"][j + 1].reshape(-1, model.pair.d, model.pair.d)
+            yield ("O",), _lmul(table, arr, j)
+        elif name == "k_insert" and j < model.depth:
+            yield ("K", (), (t, j + 1)), _prepend(k, arr)
 
 
 def apply_op(model: FockModel, name: str, vec: dict, component: int = 0) -> dict:
-    """Apply one structural operator of a component to a sparse vector."""
+    """Apply one structural operator of a component to a vector."""
     if name not in [op for op, _ in _OPS[model.kind]]:
         raise NCIDError(f"unknown {model.kind} operator {name!r}")
     if model.kind == "boolean":
-        return _apply_op_boolean(model, name, vec, component)
-    if model.kind == "cfree" and name not in _H_SIDE:
-        return _apply_op_k(model, name, vec, component)
-    return _apply_op_h(model, _H_SIDE.get(name, name), vec, component)
-
-
-def _vsum(vecs) -> dict:
+        terms = _boolean_terms
+    elif model.kind == "cfree" and name not in _H_SIDE:
+        terms = _k_terms
+    else:
+        terms, name = _h_terms, _H_SIDE.get(name, name)
     out: dict = {}
-    for v in vecs:
-        for key, c in v.items():
-            _vadd(out, key, c)
-    return _clean(out)
-
-
-def _vscale(vec: dict, s) -> dict:
-    if s == 0:
-        return {}
-    if s == 1:
-        return vec
-    return {k: s * v for k, v in vec.items()}
+    for shape, arr in vec.items():
+        for okey, val in terms(model, name, shape, arr, component):
+            out[okey] = out.get(okey, 0) + val
+    return out
 
 
 def apply_generator(model: FockModel, vec: dict, component=None) -> dict:
     """One application of the represented variable (or of one component's)."""
     tags = range(len(model.components)) if component is None else [component]
-    parts = []
+    out: dict = {}
     for t in tags:
         for name, scale in _OPS[model.kind]:
-            part = apply_op(model, name, vec, t)
-            parts.append(part if scale is None else _vscale(part, model.scales[t][scale]))
-    return _vsum(parts)
+            s = 1.0 if scale is None else model.scales[t][scale]
+            for shape, arr in apply_op(model, name, vec, t).items():
+                out[shape] = out.get(shape, 0) + s * arr
+    return out
 
 
 def extract_state(model: FockModel, vec: dict, state: str = "phi") -> np.ndarray:
@@ -502,127 +496,78 @@ def model_moment(model: FockModel, bs, state: str = "phi", components=None):
 # dense matrices
 
 
-def _basis_size(model: FockModel, cap: int) -> int:
-    """len(fock_basis(model, cap)) without listing the keys.
-
-    The components have words_j = ncomp (k^2)^j words of degree j between
-    them, and tensors of total degree n number t_n = sum_j words_j t_(n-j).
-    """
-    cap = max(cap, 0)
-    words = [0] + [len(model.components) * (model.pair.k ** 2) ** j for j in range(1, cap + 1)]
-    if model.kind == "boolean":
-        return 1 + sum(words)
-    tensors = [1]
-    for n in range(1, cap + 1):
-        tensors.append(sum(words[j] * tensors[n - j] for j in range(1, n + 1)))
-    if model.kind == "free":
-        return sum(tensors)
-    k_legs = sum(tensors[hd] * sum(words[1 : cap - hd + 1]) for hd in range(cap))
-    return 1 + sum(tensors) + k_legs
-
-
-def fock_basis(model: FockModel, cap: int):
-    """Deterministic key enumeration up to total degree cap."""
-    k = model.pair.k
-    ncomp = len(model.components)
-    if model.kind == "boolean":
-        keys = [()]
-        for j in range(1, cap + 1):
-            for t in range(ncomp):
-                keys.extend((t, w) for w in word_family(k, (j,)))
-        return keys
-
-    def tensors(budget):
-        yield ()
-        for j in range(1, budget + 1):
-            for t in range(ncomp):
-                for w in word_family(k, (j,)):
-                    for rest in tensors(budget - j):
-                        yield ((t, w),) + rest
-
-    if model.kind == "free":
-        return sorted(tensors(cap), key=lambda key: (_h_degree(key), key))
-    keys = [("O",)]
-    for h in sorted(tensors(cap), key=lambda key: (_h_degree(key), key)):
-        keys.append(("D", h))
-    for h in sorted(tensors(cap - 1), key=lambda key: (_h_degree(key), key)):
-        hd = _h_degree(h)
-        for j in range(1, cap - hd + 1):
-            for t in range(ncomp):
-                for w in word_family(k, (j,)):
-                    keys.append(("K", h, (t, w)))
-    return keys
-
-
-def _coord_dim(model: FockModel) -> int:
-    return model.pair.k if model.kind == "free" else model.pair.d
-
-
 def operator_matrix(model: FockModel, name: str, cap: int, component: int = 0):
     """Dense block matrix of an operator on the degree-cap truncated space.
 
     Returns (matrix, keys).  Entries are the coordinate blocks: the operator
     maps key j with coordinate C to keys i with coordinate block[i, j] C.
+    Each shape's columns are one application of the operator to the identity
+    on that shape's coordinates, in a copy of the model cut to depth cap so
+    that no image past the basis is built.
     """
-    v = _coord_dim(model)
-    check_gram_size(_basis_size(model, cap), v, copies=2)  # the blocks and the tiled matrix
-    keys = fock_basis(model, cap)
-    index = {key: i for i, key in enumerate(keys)}
-    n = len(keys)
-    blocks = np.zeros((n, n, v, v), dtype=complex)
-    eye = np.eye(v, dtype=complex)
-    for j, key in enumerate(keys):
-        out = apply_op(model, name, {key: eye}, component)
-        for okey, block in out.items():
-            i = index.get(okey)
-            if i is not None:
-                blocks[i, j] = block
-    return block_matrix(blocks), keys
-
-
-def _free_pairing(model: FockModel, ka: tuple, kb_: tuple) -> np.ndarray:
-    """<ka, kb> in B for tensor keys, collapsing factors left to right."""
-    k = model.pair.k
-    if not ka and not kb_:
-        return np.eye(k, dtype=complex)
-    if not ka or not kb_:
-        return np.zeros((k, k), dtype=complex)
-    (ta, wa), (tb, wb) = ka[0], kb_[0]
-    if ta != tb:
-        return np.zeros((k, k), dtype=complex)
-    val = word_pairing(model.components[ta]["sigma"].levels, wa, wb, k, shift=2)
-    if val is None:
-        return np.zeros((k, k), dtype=complex)
-    out: dict = {}
-    _lmult(model, val, kb_[1:], tuple, None, np.eye(k, dtype=complex), out)
-    total = np.zeros((k, k), dtype=complex)
-    for key2, c in out.items():
-        total = total + _free_pairing(model, ka[1:], key2) @ c
-    return total
+    v, k2 = _coord_dim(model), model.pair.k ** 2
+    # the matrix, and one shape's identity with its images
+    shapes, starts, n = _layout(model, cap, copies=2)
+    capped = replace(model, depth=min(model.depth, cap))
+    rows = {shape: start * v for shape, start in zip(shapes, starts)}
+    mat = np.zeros((n * v, n * v), dtype=complex)
+    for shape, start in zip(shapes, starts):
+        letters = _letters(shape)
+        size = v * k2**letters
+        batch = np.eye(size, dtype=complex).reshape((k2,) * letters + (v, size))
+        for okey, arr in apply_op(capped, name, {shape: batch}, component).items():
+            if okey in rows:
+                row = rows[okey]
+                mat[row : row + arr.size // size, start * v : start * v + size] = arr.reshape(-1, size)
+    return mat, fock_basis(model, cap)
 
 
 def gram_matrix(model: FockModel, cap: int):
-    """Gram matrix of the basis keys under the model's inner product."""
+    """Gram matrix of the basis keys under the model's inner product.
+
+    Boolean: the centered pairing <w', w> = mu(w'* w) - mu(w')* mu(w) within
+    a component; the vacuum block is the identity and everything mixed or
+    cross-component is 0.  Free: keys whose factor tags differ are
+    orthogonal, and <f1 K, f1' K'> = <K, P[f1, f1'] K'>, where P is the
+    sigma-pairing of the first factors and multiplies K' on its front row.
+    So the block of a pair of shapes is P's block of their first factors
+    contracted with the block of the rest.
+    """
     if model.kind == "cfree":
         raise NCIDError("gram_matrix supports boolean and free models")
-    v = _coord_dim(model)
-    check_gram_size(_basis_size(model, cap), v)
-    keys = fock_basis(model, cap)
-    n = len(keys)
+    v, k = _coord_dim(model), model.pair.k
+    shapes, starts, n = _layout(model, cap, copies=4)
+    words = word_family(k, range(1, cap + 1))
     blocks = np.zeros((n, n, v, v), dtype=complex)
+    blocks[0, 0] = np.eye(v, dtype=complex)
     if model.kind == "boolean":
-        # centered pairing: <w', w> = mu(w'* w) - mu(w')* mu(w); the vacuum
-        # block is the identity and everything mixed or cross-component is 0
-        blocks[0, 0] = np.eye(v, dtype=complex)
         for t, comp in enumerate(model.components):
-            idx = [i for i, key in enumerate(keys) if key and key[0] == t]
-            words = [keys[i][1] for i in idx]
-            means = np.array([_bool_word_moment(comp, w, model.pair) for w in words])
-            sub = _word_blocks(comp["levels"], words, model.pair.k, v, 0)
+            idx = [i for shape, start in zip(shapes, starts) if shape and shape[0] == t
+                   for i in range(start, start + k ** (2 * shape[1]))]
+            if not idx:
+                continue
+            sub = _word_blocks(comp["levels"], words, k, v, 0)
+            means = np.concatenate([_word_means(comp, model.pair, j) for j in range(1, cap + 1)])
             sub -= np.einsum("iba,jbc->ijac", means.conj(), means)
             blocks[np.ix_(idx, idx)] = sub
-    else:
-        for i, ki in enumerate(keys):
-            for j, kj in enumerate(keys):
-                blocks[i, j] = _free_pairing(model, ki, kj)
-    return hermitian_gram(blocks), keys
+        return hermitian_gram(blocks), fock_basis(model, cap)
+
+    pairing = [_word_blocks(c["sigma"].levels, words, k, k, 2) for c in model.components]
+    # the words of length j are rows ends[j - 1] to ends[j] of the pairing
+    ends = np.cumsum([k ** (2 * j) for j in range(cap + 1)]) - 1
+    at = dict(zip(shapes, starts))
+    # shapes come by degree, so the block of two shapes' tails is filled first
+    for hs, start in zip(shapes[1:], starts[1:]):
+        for hs2, start2 in zip(shapes[1:], starts[1:]):
+            if [t for t, _ in hs] != [t for t, _ in hs2]:
+                continue
+            (t, j), (_, j2) = hs[0], hs2[0]
+            block = pairing[t][ends[j - 1] : ends[j], ends[j2 - 1] : ends[j2]]
+            if len(hs) > 1:
+                m, m2 = k ** (2 * _letters(hs[1:])), k ** (2 * _letters(hs2[1:]))
+                tails = blocks[at[hs[1:]] : at[hs[1:]] + m, at[hs2[1:]] : at[hs2[1:]] + m2]
+                # a tail column is (the row of its first letter, the rest)
+                block = np.einsum("xyac,Karij->xKycrij", block, tails.reshape(m, k, m2 // k, k, k))
+                block = block.reshape(block.shape[0] * m, -1, k, k)
+            blocks[start : start + len(block), start2 : start2 + block.shape[1]] = block
+    return hermitian_gram(blocks), fock_basis(model, cap)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraPair, block_matrix
 from .cumulants import family_of
-from .distribution import MomentFunctional, _truncated, level_shape
+from .distribution import MomentFunctional, _truncated, level_shape, seeded_rng
 from .errors import (
     DimensionMismatch,
     NCIDError,
@@ -312,7 +312,7 @@ def check_identity(
             raise NCIDError("identity cR needs the second functional")
         data = data, _truncated(nu, order)
     series = family_of(_SERIES[name], data).levels
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     m = order + 1
     worst = 0.0
     for _ in range(probes):
@@ -350,7 +350,7 @@ def check_cauchy_relation(
     _require_order("relation", order, order, mu.truncation)
     pair = mu.pair
     k, d = pair.k, pair.d
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     m = order + 1
     bstored = family_of("boolean", mu).levels
     worst = 0.0
@@ -401,7 +401,7 @@ def check_nc_function_axioms(
     _require_order("axioms", order, 2 * order - 1, mu.truncation)
     pair = mu.pair
     k, d = pair.k, pair.d
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     worst = 0.0
     for _ in range(probes):
         m1 = int(rng.integers(1, order + 1))
@@ -478,7 +478,7 @@ def tensor_compatibility(
     pair = mu.pair
     k = pair.k
     amp = amplify_functional(mu, n, order)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     m = order + 1
     worst = 0.0
     for _ in range(probes):

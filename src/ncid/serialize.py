@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .algebra import AlgebraPair
+from .algebra import AlgebraPair, check_pair_size
 from .cumulants import KINDS, CumulantFamily, values_in
 from .distribution import MomentFunctional, level_shape
 from .errors import DimensionMismatch, NCIDError
@@ -166,6 +166,7 @@ def pair_from_json(data: dict) -> AlgebraPair:
     d = _require(data, "d", int)
     if k < 1 or d < 1:
         raise DimensionMismatch("k and d must be positive")
+    check_pair_size(k, d)
     embed = tensor_from_json(_require(data, "embed"), (d * d, k * k))
     pair = AlgebraPair(k=k, d=d, embed_matrix=embed)
     pair.validate()
@@ -198,8 +199,6 @@ def functional_to_json(mf: MomentFunctional) -> dict:
 def functional_from_json(data: dict) -> MomentFunctional:
     pair = pair_from_json(data)
     trunc = _require(data, "truncation", int)
-    if trunc < 1:
-        raise DimensionMismatch("truncation must be >= 1")
     levels = _levels_from_json(_require(data, "moments"), pair, trunc)
     mf = MomentFunctional(pair=pair, truncation=trunc, levels=levels)
     mf.check_star()

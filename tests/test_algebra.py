@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from ncid.algebra import (
     require_hermitian,
     unit_index,
 )
-from ncid.errors import NotBValued, NotHermitian, NotSquare
+from ncid.errors import NotBValued, NotHermitian, NotSquare, TooLarge
+from ncid.serialize import pair_from_json
 
 from conftest import rand_b
 
@@ -133,3 +136,19 @@ def test_embed_tensor_matches_entrywise():
 
 def test_default_tol_value():
     assert DEFAULT_TOL == 1e-9
+
+
+def test_oversized_pairs_are_refused_before_allocation():
+    # each (d^2, k^2) embed matrix here is 1.6 GB of complex entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            AlgebraPair.identity(100)
+        with pytest.raises(TooLarge):
+            AlgebraPair.block_diagonal(50, 200)
+        with pytest.raises(TooLarge):
+            pair_from_json({"k": 100, "d": 100, "embed": [[0.0]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

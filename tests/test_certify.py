@@ -456,3 +456,15 @@ def test_oversized_grams_are_refused_before_allocation(pair22):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_non_negative(semicircle, tol):
+    with pytest.raises(NCIDError, match="tolerance must be finite and >= 0"):
+        certify("boolean", semicircle, 2, tol)
+    with pytest.raises(NCIDError, match="tolerance must be finite and >= 0"):
+        levy_hincin_extract("free", semicircle, tol)
+
+
+def test_zero_tolerance_is_accepted(semicircle):
+    assert certify("free", semicircle, 2, 0.0).tol == 0.0

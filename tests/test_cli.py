@@ -312,3 +312,20 @@ def test_selftest_sweep_passes_and_repeats():
     assert doc["pass"] is True
     names = [c["name"] for c in doc["selftest"]]
     assert "roundtrip_cfree" in names and "bernoulli_free_refusal" in names
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["gen", "--trunc", "0"], "DimensionMismatch"),
+    (["gen", "--seed", "-1"], "NCIDError"),
+    (["check", "--identity", "R", "--seed", "-5", "SEMI"], "NCIDError"),
+    (["selftest", "--seed", "-1"], "NCIDError"),
+    (["certify", "--kind", "boolean", "--degree", "2", "--tol", "-1", "SEMI"], "NCIDError"),
+    (["certify", "--kind", "free", "--degree", "2", "--tol", "nan", "SEMI"], "NCIDError"),
+    (["extract", "--kind", "free", "--tol", "inf", "SEMI"], "NCIDError"),
+    (["gen", "--k", "300", "--d", "300", "--trunc", "2"], "TooLarge"),
+])
+def test_bad_truncations_seeds_tolerances_and_pairs_exit_1(semi_path, argv, error):
+    out = run_cli(*[semi_path if a == "SEMI" else a for a in argv])
+    assert out.returncode == 1, out.stdout
+    assert json.loads(out.stdout)["error"]["type"] == error
+    assert out.stderr == ""

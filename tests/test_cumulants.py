@@ -8,6 +8,7 @@ from ncid.cumulants import (
     CumulantFamily,
     boolean_from_moments,
     cfree_from_moments,
+    family_of,
     free_from_moments,
     functional_of,
     moments_from_boolean,
@@ -15,8 +16,8 @@ from ncid.cumulants import (
     moments_from_free,
     moments_of,
 )
-from ncid.distribution import generate_realizable, scalar_from_moments
-from ncid.errors import NCIDError, PairMismatch, TooLarge, TruncationExceeded
+from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
+from ncid.errors import DimensionMismatch, NCIDError, PairMismatch, TooLarge, TruncationExceeded
 from ncid.nclattice import enumerate_nc, full_partition, moebius, nc_weights
 
 from conftest import (
@@ -293,3 +294,15 @@ def test_evaluate_above_truncation_is_typed(mu22):
     assert fam.evaluate([eye] * 6).shape == (2, 2)
     with pytest.raises(TruncationExceeded):
         fam.evaluate([eye] * 7)
+
+
+@pytest.mark.parametrize("kind", ["boolean", "free", "cfree"])
+@pytest.mark.parametrize("truncation", [0, -1])
+def test_truncation_below_one_is_refused_both_ways(kind, truncation):
+    pair = AlgebraPair.identity(1)
+    nu = scalar_from_moments((0.0, 1.0))
+    with pytest.raises(DimensionMismatch, match="truncation must be >= 1"):
+        law = MomentFunctional(pair, truncation, {})
+        family_of(kind, (law, law) if kind == "cfree" else law)
+    with pytest.raises(DimensionMismatch, match="truncation must be >= 1"):
+        moments_of(CumulantFamily(kind, pair, truncation, {}), nu)

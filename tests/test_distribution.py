@@ -18,9 +18,11 @@ from ncid.distribution import (
     level_shape,
     moment,
     scalar_from_moments,
+    seeded_rng,
 )
 from ncid.errors import (
     DimensionMismatch,
+    NCIDError,
     NotHermitian,
     SeedExhausted,
     TooLarge,
@@ -238,3 +240,13 @@ def test_generate_truncation_stops_at_the_einsum_limit():
     assert mf.levels[top].shape == level_shape(1, 1, top)
     with pytest.raises(TooLarge):
         generate_realizable(0, pair, top + 1, 2)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64), 1.5, "3", None])
+def test_seeds_must_be_non_negative_integers(pair22, seed):
+    with pytest.raises(NCIDError, match="seed must be a non-negative integer"):
+        generate_realizable(seed, pair22, 2, ambient=4)
+
+
+def test_seeded_rng_takes_numpy_integers():
+    assert seeded_rng(np.int64(3)).integers(100) == np.random.default_rng(3).integers(100)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ncid.algebra import AlgebraPair
-from ncid.certify import SigmaForm, family_from_levy_hincin
+from ncid.certify import SigmaForm, family_from_levy_hincin, hermitian_gram, word_pairing
 from ncid.convolution import boolean_convolve, cfree_convolve, free_convolve, root
 from ncid.cumulants import moments_from_cfree, moments_from_free
 from ncid.distribution import generate_realizable, scalar_from_moments
@@ -18,8 +18,9 @@ from ncid.errors import (
     TruncationExceeded,
 )
 from ncid.fock import (
-    _basis_size,
-    _h_degree,
+    _OPS,
+    _layout,
+    apply_op,
     boolean_root_model,
     boolean_sum_model,
     build_boolean,
@@ -52,7 +53,7 @@ def key_degree(model, key) -> int:
         return 0
     if model.kind == "boolean":
         return len(key[1])
-    return _h_degree(key)
+    return sum(len(w) for _, w in key)
 
 
 def centered_word_state(model, tags, coeffs, centers, state="phi"):
@@ -109,8 +110,27 @@ def test_boolean_model_reproduces_moments(semicircle, mu22, mu24):
             assert relerr(model_moment(model, bs[:n]), mf.eval_word(bs[:n])) < 1e-10
 
 
-def test_free_model_reproduces_moments(pair22):
-    alpha, sigma = free_levy_hincin_data(50, pair22, 6)
+def conjugated_pair(k: int, seed: int) -> AlgebraPair:
+    """B = D = M_k with the embedding b -> q b q^* for a random unitary q."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    return AlgebraPair(k=k, d=k, embed_matrix=np.kron(q, q.conj()))
+
+
+# The c-free D-vacuum reads B-values through the embedding.  Only the
+# conjugated pair tells an embedded value from a bare one: on the identity
+# pair they are equal, and b (x) 1 acts on a D-coordinate as b does on its
+# rows taken k at a time.
+PAIRS = pytest.mark.parametrize(
+    "pair",
+    [AlgebraPair.identity(2), AlgebraPair.block_diagonal(2, 4), conjugated_pair(2, 5)],
+    ids=["identity22", "block24", "conjugated22"],
+)
+
+
+@PAIRS
+def test_free_model_reproduces_moments(pair):
+    alpha, sigma = free_levy_hincin_data(50, pair, 6)
     model = build_free(alpha, sigma)
     nu = moments_from_free(family_from_levy_hincin("free", alpha, sigma))
     bs = rand_words(4, 2, 6)
@@ -139,9 +159,10 @@ def test_free_model_semicircle_catalan():
         assert abs(complex(got[0, 0]) - value) < 1e-12
 
 
-def test_cfree_model_two_states(pair22):
-    a1, s1 = free_levy_hincin_data(50, pair22, 6)
-    a2, s2 = cfree_levy_hincin_data(52, pair22, 6)
+@PAIRS
+def test_cfree_model_two_states(pair):
+    a1, s1 = free_levy_hincin_data(50, pair, 6)
+    a2, s2 = cfree_levy_hincin_data(52, pair, 6)
     model = build_cfree(a1, s1, a2, s2)
     nu = moments_from_free(family_from_levy_hincin("free", a1, s1))
     mu = moments_from_cfree(family_from_levy_hincin("cfree", a2, s2), nu)
@@ -403,4 +424,85 @@ def test_basis_size_counts_the_basis(k):
             cfree_sum_model(cfrees[:n]),
         ):
             for cap in range(5):
-                assert _basis_size(model, cap) == len(fock_basis(model, cap))
+                assert _layout(model, cap, 0)[2] == len(fock_basis(model, cap))
+
+
+def free_pairing_reference(model, ka: tuple, kb: tuple) -> np.ndarray:
+    """<ka, kb> in B for free tensor keys, one key pair at a time: the
+    sigma-pairing of the first factors multiplies the rest of kb from the
+    left, on its first letter's row or on the vacuum coordinate."""
+    k = model.pair.k
+    if not ka or not kb:
+        return np.eye(k, dtype=complex) if ka == kb else np.zeros((k, k), dtype=complex)
+    (ta, wa), (tb, wb) = ka[0], kb[0]
+    val = None
+    if ta == tb:
+        val = word_pairing(model.components[ta]["sigma"].levels, wa, wb, k, shift=2)
+    if val is None:
+        return np.zeros((k, k), dtype=complex)
+    if len(kb) == 1:
+        return free_pairing_reference(model, ka[1:], ()) @ val
+    t, w = kb[1]
+    i, j = divmod(w[0], k)
+    return sum(
+        val[a, i] * free_pairing_reference(model, ka[1:], ((t, (a * k + j,) + w[1:]),) + kb[2:])
+        for a in range(k)
+    )
+
+
+@pytest.mark.parametrize("ncomp, cap", [(1, 2), (1, 3), (2, 2)])
+def test_free_gram_matches_the_key_by_key_pairing(pair22, ncomp, cap):
+    model = free_sum_model([free_levy_hincin_data(s, pair22, 6) for s in (50, 51)[:ncomp]])
+    G, keys = gram_matrix(model, cap)
+    blocks = np.array([[free_pairing_reference(model, ka, kb) for kb in keys] for ka in keys])
+    want = hermitian_gram(blocks)
+    assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def split_key(kind: str, key):
+    """(shape, letters) of a basis key: the key with each word (t, w) as
+    (t, len(w)), and the letters of its words in order."""
+    letters = []
+
+    def length(word):
+        letters.extend(word[1])
+        return word[0], len(word[1])
+
+    if kind == "boolean":
+        shape = length(key) if key else ()
+    elif kind == "free":
+        shape = tuple(map(length, key))
+    elif key[0] == "O":
+        shape = key
+    else:
+        hs = tuple(map(length, key[1]))
+        shape = ("D", hs) if key[0] == "D" else ("K", hs, length(key[2]))
+    return shape, tuple(letters)
+
+
+def test_operator_matrix_columns_are_apply_op_on_one_key(mu22, nu22, pair22):
+    """Each key's column block is apply_op on that key's one-hot vector, and
+    the keys of a shape are one run in the lexicographic order of letters."""
+    frees = [free_levy_hincin_data(s, pair22, 6) for s in (50, 51)]
+    cfrees = [f + cfree_levy_hincin_data(s, pair22, 6) for f, s in zip(frees, (52, 53))]
+    cap, v = 2, 2
+    for model in (boolean_sum_model([mu22, nu22]), free_sum_model(frees), cfree_sum_model(cfrees)):
+        keys = fock_basis(model, cap)
+        split = [split_key(model.kind, key) for key in keys]
+        starts: dict = {}
+        for i, (shape, letters) in enumerate(split):
+            start = starts.setdefault(shape, i)
+            assert letters == np.unravel_index(i - start, (4,) * len(letters))
+        for name, _ in _OPS[model.kind]:
+            for comp in range(2):
+                mat, mkeys = operator_matrix(model, name, cap, comp)
+                assert mkeys == keys
+                for i, (shape, letters) in enumerate(split):
+                    one = np.zeros((4,) * len(letters) + (v, v), dtype=complex)
+                    one[letters] = np.eye(v)
+                    want = np.zeros((len(mat), v), dtype=complex)
+                    for okey, arr in apply_op(model, name, {shape: one}, comp).items():
+                        if okey in starts:
+                            rows = slice(starts[okey] * v, starts[okey] * v + arr.size // v)
+                            want[rows] = arr.reshape(-1, v)
+                    assert np.abs(mat[:, i * v : (i + 1) * v] - want).max() <= 1e-15
