@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, block_matrix, psd_floor
+from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, psd_floor
 from .cumulants import CumulantFamily, families, functional_of, values_in
 from .distribution import MAX_GENERATE_BYTES, MomentFunctional, _checked_levels
 from .errors import CertificateFailed, NCIDError, TooLarge, TruncationExceeded
@@ -119,13 +119,14 @@ def word_pairing(levels: dict, left: tuple, right: tuple, k: int, shift: int = 0
     return levels[n][idx]
 
 
-def check_gram_size(nf: int, v: int, copies: int = 4) -> None:
+def check_gram_size(nf: int, v: int, copies: int = 3) -> None:
     """Refuse, before anything is built, a Gram of nf x nf (v, v) blocks
     whose arrays held at once pass MAX_GENERATE_BYTES (TooLarge).
 
-    Each array has (nf v)^2 complex entries.  A Hermitian Gram holds four:
-    the blocks, the tiled matrix, then its adjoint and their sum, or the sum
-    and its half.
+    Each array has (nf v)^2 complex entries.  A Hermitian Gram holds three at
+    most: the matrix, built in place, and either the adjoint that
+    hermitian_gram adds to it or, once judged, the eigensolver's copy of it
+    and the eigenvectors of a witness.
     """
     need = copies * 16 * (nf * v) ** 2
     if need > MAX_GENERATE_BYTES:
@@ -133,22 +134,29 @@ def check_gram_size(nf: int, v: int, copies: int = 4) -> None:
                        f"above {MAX_GENERATE_BYTES}")
 
 
-def hermitian_gram(blocks: np.ndarray) -> np.ndarray:
-    """Hermitian part of the Gram matrix tiled by (f, f, v, v) pairing blocks."""
-    mat = block_matrix(blocks)
-    return 0.5 * (mat + mat.conj().T)
+def gram_arrays(nf: int, v: int):
+    """(matrix, blocks): a zero (nf v, nf v) Gram matrix and its (nf, nf, v, v)
+    view, block [i, j] pairing rows i and j; writing a block fills the
+    matrix."""
+    mat = np.zeros((nf * v, nf * v), dtype=complex)
+    return mat, mat.reshape(nf, v, nf, v).swapaxes(1, 2)
 
 
-def _word_blocks(levels: dict, words: list, k: int, v: int, shift: int, lead: int = 0):
-    """Pairing blocks of the words, after lead rows and columns left zero."""
-    nf = lead + len(words)
-    blocks = np.zeros((nf, nf, v, v), dtype=complex)
-    for i, wi in enumerate(words, lead):
-        for j, wj in enumerate(words, lead):
+def hermitian_gram(mat: np.ndarray) -> np.ndarray:
+    """mat made its own Hermitian part, (mat + mat^*) / 2, in place."""
+    mat += mat.conj().T
+    mat *= 0.5
+    return mat
+
+
+def _word_blocks(blocks: np.ndarray, levels: dict, words: list, rows, k: int, shift: int):
+    """Write the pairing block of words i and j into blocks[rows[i], rows[j]];
+    blocks where the pairing vanishes are left as they are."""
+    for i, wi in zip(rows, words):
+        for j, wj in zip(rows, words):
             val = word_pairing(levels, wi, wj, k, shift)
             if val is not None:
                 blocks[i, j] = val
-    return blocks
 
 
 def gram(phi: MomentFunctional, degree: int, no_free_term: bool = True):
@@ -167,10 +175,12 @@ def gram(phi: MomentFunctional, degree: int, no_free_term: bool = True):
     if degree < 1:
         raise NCIDError("gram degree must be >= 1")
     consts = [] if no_free_term else list(range(k * k))
-    check_gram_size(len(consts) + sum((k * k) ** j for j in range(1, degree + 1)), phi.pair.d)
+    nf = len(consts) + sum((k * k) ** j for j in range(1, degree + 1))
+    check_gram_size(nf, phi.pair.d)
     words = word_family(k, range(1, degree + 1))
     stored = {n: phi.raw(n) for n in range(1, 2 * degree + 1)}
-    blocks = _word_blocks(stored, words, k, phi.pair.d, 0, len(consts))
+    mat, blocks = gram_arrays(nf, phi.pair.d)
+    _word_blocks(blocks, stored, words, range(len(consts), nf), k, 0)
     eunits = phi.pair.embedded_units
     for i, u in enumerate(consts):
         a0, b0 = divmod(u, k)
@@ -185,7 +195,7 @@ def gram(phi: MomentFunctional, degree: int, no_free_term: bool = True):
                 val = eunits[b0 * k + b1] @ stored[len(w)][w[1:]]
                 blocks[i, j] = val
                 blocks[j, i] = val.conj().T
-    return hermitian_gram(blocks), consts + words
+    return hermitian_gram(mat), consts + words
 
 
 def sigma_gram(sigma: SigmaForm, degree: int):
@@ -196,10 +206,12 @@ def sigma_gram(sigma: SigmaForm, degree: int):
             f"stored {sigma.truncation}"
         )
     k = sigma.pair.k
-    check_gram_size(sum((k * k) ** j for j in range(1, degree + 2)), sigma.value_dim)
+    nf = sum((k * k) ** j for j in range(1, degree + 2))
+    check_gram_size(nf, sigma.value_dim)
     words = word_family(k, range(1, degree + 2))
-    blocks = _word_blocks(sigma.levels, words, k, sigma.value_dim, 2)
-    return hermitian_gram(blocks), words
+    mat, blocks = gram_arrays(nf, sigma.value_dim)
+    _word_blocks(blocks, sigma.levels, words, range(nf), k, 2)
+    return hermitian_gram(mat), words
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +256,7 @@ def _judge(kind, degree, phi: MomentFunctional, no_free_term: bool, tol) -> Cert
     s = np.sqrt(np.linalg.norm(phi.raw(2))) or 1.0
     lengths = np.array([len(w) if isinstance(w, tuple) else 0 for w in family], dtype=float)
     grade = np.repeat(s**-lengths, mat.shape[0] // len(family))
-    mat = mat * grade[:, None]
+    mat *= grade[:, None]
     mat *= grade
     min_eig = float(np.linalg.eigvalsh(mat)[0])
     passed = min_eig >= psd_floor(mat, tol)

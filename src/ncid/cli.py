@@ -46,7 +46,7 @@ from .ncfunctions import (  # noqa: E402
     tensor_compatibility,
 )
 from .serialize import (  # noqa: E402
-    dumps,
+    _emit as emit_json,
     extraction_to_json,
     family_to_json,
     functional_from_json,
@@ -147,7 +147,7 @@ def _emit_law(kind: str, data) -> None:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(dumps(obj))
+    emit_json(obj, sys.stdout.write)
     sys.stdout.write("\n")
 
 

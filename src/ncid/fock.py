@@ -51,6 +51,7 @@ from .certify import (
     _word_blocks,
     check_gram_size,
     gram,
+    gram_arrays,
     hermitian_gram,
     sigma_gram,
     word_family,
@@ -262,9 +263,9 @@ def _coord_dim(model: FockModel) -> int:
 def _layout(model: FockModel, cap: int, copies: int):
     """(shapes, starts, n): the shapes up to total degree cap, the index of
     each one's first basis key, and the number of keys.  The count is checked
-    against the budget of copies Gram-sized arrays (check_gram_size) shape by
-    shape, so a cap far out of reach is refused (TooLarge) before its shapes
-    are listed; copies 0 checks nothing."""
+    against the budget of copies matrix-sized arrays held at once
+    (check_gram_size) shape by shape, so a cap far out of reach is refused
+    (TooLarge) before its shapes are listed; copies 0 checks nothing."""
     v, k2 = _coord_dim(model), model.pair.k ** 2
     shapes, starts, n = [], [], 0
     for shape in _shapes(model, cap):
@@ -536,9 +537,11 @@ def gram_matrix(model: FockModel, cap: int):
     if model.kind == "cfree":
         raise NCIDError("gram_matrix supports boolean and free models")
     v, k = _coord_dim(model), model.pair.k
-    shapes, starts, n = _layout(model, cap, copies=4)
+    # the matrix, and at most two of its size beside it: the boolean centering
+    # term with the blocks it is taken from, or hermitian_gram's adjoint
+    shapes, starts, n = _layout(model, cap, copies=3)
     words = word_family(k, range(1, cap + 1))
-    blocks = np.zeros((n, n, v, v), dtype=complex)
+    mat, blocks = gram_arrays(n, v)
     blocks[0, 0] = np.eye(v, dtype=complex)
     if model.kind == "boolean":
         for t, comp in enumerate(model.components):
@@ -546,13 +549,15 @@ def gram_matrix(model: FockModel, cap: int):
                    for i in range(start, start + k ** (2 * shape[1]))]
             if not idx:
                 continue
-            sub = _word_blocks(comp["levels"], words, k, v, 0)
+            _word_blocks(blocks, comp["levels"], words, idx, k, 0)
             means = np.concatenate([_word_means(comp, model.pair, j) for j in range(1, cap + 1)])
-            sub -= np.einsum("iba,jbc->ijac", means.conj(), means)
-            blocks[np.ix_(idx, idx)] = sub
-        return hermitian_gram(blocks), fock_basis(model, cap)
+            blocks[np.ix_(idx, idx)] -= np.einsum("iba,jbc->ijac", means.conj(), means)
+        return hermitian_gram(mat), fock_basis(model, cap)
 
-    pairing = [_word_blocks(c["sigma"].levels, words, k, k, 2) for c in model.components]
+    pairing = []
+    for c in model.components:
+        pairing.append(np.zeros((len(words), len(words), k, k), dtype=complex))
+        _word_blocks(pairing[-1], c["sigma"].levels, words, range(len(words)), k, 2)
     # the words of length j are rows ends[j - 1] to ends[j] of the pairing
     ends = np.cumsum([k ** (2 * j) for j in range(cap + 1)]) - 1
     at = dict(zip(shapes, starts))
@@ -570,4 +575,4 @@ def gram_matrix(model: FockModel, cap: int):
                 block = np.einsum("xyac,Karij->xKycrij", block, tails.reshape(m, k, m2 // k, k, k))
                 block = block.reshape(block.shape[0] * m, -1, k, k)
             blocks[start : start + len(block), start2 : start2 + block.shape[1]] = block
-    return hermitian_gram(blocks), fock_basis(model, cap)
+    return hermitian_gram(mat), fock_basis(model, cap)

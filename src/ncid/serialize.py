@@ -5,6 +5,9 @@ numbers as two-element [re, im] arrays, so identical data always produces
 byte-identical output regardless of platform or dict ordering history.
 Every tensor entry is written as an [re, im] pair; on input a plain number
 is accepted too, and entries that are not finite floats are rejected.
+Output is streamed: save_path and the CLI write a document in pieces of at
+most one tensor row, never holding its whole text, and the bytes are those
+dumps returns.  A value that cannot be written raises before the first byte.
 Input may use any JSON whitespace; the values read and the errors raised
 do not depend on the layout.
 """
@@ -12,7 +15,6 @@ do not depend on the layout.
 from __future__ import annotations
 
 import json
-import math
 import re
 
 import numpy as np
@@ -30,8 +32,6 @@ _MAX_AXES = 64  # numpy's limit
 
 def _fmt(x: float) -> str:
     x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise NCIDError("cannot serialize non-finite float")
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return format(x, ".17g")
@@ -46,48 +46,79 @@ def _layout(shape, number: str) -> str:
     return text
 
 
-def _emit(obj, out: list) -> None:
+def _check(obj) -> None:
+    """Raise NCIDError if obj holds a non-finite float or a value of a type
+    _emit cannot write, so that _emit fails before its first write."""
     if isinstance(obj, dict):
-        out.append("{")
+        for val in obj.values():
+            _check(val)
+    elif isinstance(obj, (list, tuple)):
+        for val in obj:
+            _check(val)
+    elif isinstance(obj, np.ndarray):
+        if not np.isfinite(obj).all():
+            raise NCIDError("cannot serialize non-finite float")
+    elif isinstance(obj, (float, np.floating, complex, np.complexfloating)):
+        if not np.isfinite(obj):
+            raise NCIDError("cannot serialize non-finite float")
+    elif not isinstance(obj, (str, bool, int, np.integer, type(None))):
+        raise NCIDError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _write(obj, write) -> None:
+    if isinstance(obj, dict):
+        write("{")
         for i, (key, val) in enumerate(obj.items()):
             if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(val, out)
-        out.append("}")
+                write(",")
+            write(json.dumps(str(key)))
+            write(":")
+            _write(val, write)
+        write("}")
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
+        write("[")
         for i, val in enumerate(obj):
             if i:
-                out.append(",")
-            _emit(val, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray):  # a tensor: one '%' over its layout
+                write(",")
+            _write(val, write)
+        write("]")
+    elif isinstance(obj, np.ndarray):  # a tensor: one '%' per leading-axis row
         a = np.asarray(obj, dtype=complex)
-        if not np.isfinite(a).all():
-            raise NCIDError("cannot serialize non-finite float")
-        parts = np.ascontiguousarray(a).reshape(-1).view(float) + 0.0  # -0.0 becomes 0.0
-        out.append(_layout(a.shape, "%.17g") % tuple(parts.tolist()))
+        layout = _layout(a.shape[1:], "%.17g")
+        if a.ndim:
+            write("[")
+        for i, row in enumerate(a if a.ndim else [a]):
+            if i:
+                write(",")
+            parts = np.ascontiguousarray(row).reshape(-1).view(float) + 0.0  # -0.0 becomes 0.0
+            write(layout % tuple(parts.tolist()))
+        if a.ndim:
+            write("]")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
     elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        write("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt(obj))
+        write(_fmt(obj))
     elif isinstance(obj, (complex, np.complexfloating)):
-        out.append("[" + _fmt(obj.real) + "," + _fmt(obj.imag) + "]")
-    elif obj is None:
-        out.append("null")
+        write("[" + _fmt(obj.real) + "," + _fmt(obj.imag) + "]")
     else:
-        raise NCIDError(f"cannot serialize object of type {type(obj).__name__}")
+        write("null")
+
+
+def _emit(obj, write) -> None:
+    """Write obj's JSON text through write(str), in pieces of at most one
+    tensor row; a value that cannot be written raises NCIDError before the
+    first piece."""
+    _check(obj)
+    _write(obj, write)
 
 
 def dumps(obj) -> str:
     out: list = []
-    _emit(obj, out)
+    _emit(obj, out.append)
     return "".join(out)
 
 
@@ -308,7 +339,7 @@ def load_path(path: str) -> dict:
 
 def save_path(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        _emit(obj, fh.write)
         fh.write("\n")
 
 

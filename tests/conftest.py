@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ncid.algebra import AlgebraPair, matrix_units
+from ncid.algebra import AlgebraPair, block_matrix, matrix_units
 from ncid.certify import SigmaForm, family_from_levy_hincin
 from ncid.cumulants import moments_from_cfree, moments_from_free
 from ncid.distribution import (
@@ -43,6 +43,27 @@ def zero_law(pair: AlgebraPair, truncation: int) -> MomentFunctional:
     return MomentFunctional(pair, truncation, {
         n: np.broadcast_to(zero, level_shape(pair.k, pair.d, n)) for n in range(1, truncation + 1)
     })
+
+
+def copied_assembly(build, *modules):
+    """build() with every Gram assembled by copies, as before Grams were built
+    in place: the blocks in their own (n, n, v, v) array, tiled into a new
+    matrix by block_matrix, and 0.5 * (mat + mat^*) as a third."""
+    made = []
+
+    def blocks_alone(nf, v):
+        made.append(np.zeros((nf, nf, v, v), dtype=complex))
+        return None, made[-1]
+
+    def copied_hermitian(_):
+        mat = block_matrix(made.pop())
+        return 0.5 * (mat + mat.conj().T)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in modules:
+            mp.setattr(module, "gram_arrays", blocks_alone)
+            mp.setattr(module, "hermitian_gram", copied_hermitian)
+        return build()
 
 
 def twisted(moments, h):
@@ -139,6 +160,13 @@ def mu22(pair22) -> MomentFunctional:
 @pytest.fixture(scope="session")
 def nu22(pair22) -> MomentFunctional:
     return generate_realizable(8, pair22, 6, ambient=8)
+
+
+@pytest.fixture(scope="session")
+def mu228(pair22) -> MomentFunctional:
+    """A realizable law at (k, d, N) = (2, 2, 8), as `gen --k 2 --d 2 --trunc 8`
+    makes: 4.3 MB of JSON, and a 7.6 MB Gram at degree 4 with free term."""
+    return generate_realizable(0, pair22, 8, ambient=4)
 
 
 @pytest.fixture(scope="session")

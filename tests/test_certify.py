@@ -17,7 +17,7 @@ from ncid.certify import (
     levy_hincin_reconstruct,
     sigma_gram,
 )
-from ncid import cumulants
+from ncid import certify as certify_module, cumulants
 from ncid.convolution import convolve, root
 from ncid.cumulants import family_of, free_from_moments, functional_of
 from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
@@ -27,6 +27,7 @@ from ncid.ncfunctions import NilpotentPoint, eval_B, eval_R, eval_cR
 from conftest import (
     BERNOULLI_MOMENTS,
     SEMICIRCLE_MOMENTS,
+    copied_assembly,
     divisible_cfree_pair,
     divisible_free,
     hermitize,
@@ -435,7 +436,7 @@ def test_conjugate_matches_direct_evaluation(pair22):
 
 def test_oversized_grams_are_refused_before_allocation(pair22):
     # certify --degree 6 at k = 2 asks for 5460 words: a 10920^2 complex Gram
-    # of 1.9 GB, held four times over.  The zero-stride law holds nothing, so
+    # of 1.9 GB, held three times over.  The zero-stride law holds nothing, so
     # the traced peak shows that no Gram array was made.
     law = zero_law(pair22, 12)
     zero = np.zeros((), dtype=complex)
@@ -456,6 +457,36 @@ def test_oversized_grams_are_refused_before_allocation(pair22):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_grams_are_bit_identical_to_the_copied_assembly(mu22, mu24, semicircle, bernoulli):
+    builds = [
+        lambda: gram(mu22, 3, no_free_term=False),
+        lambda: gram(mu22, 3),
+        lambda: gram(mu24, 2, no_free_term=False),
+        lambda: gram(semicircle, 3, no_free_term=False),
+        lambda: rho_gram(bernoulli, 3),
+        lambda: sigma_gram(SigmaForm.from_bordered(mu22), 2),
+        lambda: sigma_gram(SigmaForm.from_bordered(mu22, "B"), 2),
+        lambda: sigma_gram(SigmaForm.from_bordered(mu24), 1),
+    ]
+    for build in builds:
+        (mat, family), (want, want_family) = build(), copied_assembly(build, certify_module)
+        assert family == want_family
+        assert mat.dtype == want.dtype and np.array_equal(mat, want)
+
+
+def test_gram_holds_at_most_two_matrices_at_once(mu228):
+    # The blocks are written into the matrix itself; only the adjoint that
+    # hermitian_gram adds is a second copy.
+    tracemalloc.start()
+    try:
+        mat, _ = gram(mu228, 4, no_free_term=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.shape == (2 * 344, 2 * 344)  # 4 units and 340 words, 2 x 2 blocks
+    assert peak <= 2.5 * mat.nbytes
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])

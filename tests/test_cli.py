@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ncid import cli
 from ncid.algebra import AlgebraPair
 from ncid.serialize import dumps, functional_to_json
 
@@ -329,3 +332,51 @@ def test_bad_truncations_seeds_tolerances_and_pairs_exit_1(semi_path, argv, erro
     assert out.returncode == 1, out.stdout
     assert json.loads(out.stdout)["error"]["type"] == error
     assert out.stderr == ""
+
+
+def test_a_non_finite_tensor_prints_only_the_error(monkeypatch, capsys):
+    # output is streamed, so every value is checked before the first byte
+    bad = np.ones((2, 2), dtype=complex)
+    bad[1, 0] = complex(float("inf"), 0.0)
+    monkeypatch.setattr(cli, "functional_to_json", lambda mf: {"first": np.ones(2), "second": bad})
+    assert cli.main(["gen", "--trunc", "2"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "NCIDError", "message": "cannot serialize non-finite float"}
+
+
+# Spawns CLI children from a bare interpreter and prints the peak RSS (kB) of
+# each.  A child's ru_maxrss starts at the RSS of the process that spawned it
+# (Linux keeps the high-water mark across exec), so spawning from the test
+# process itself would read the test process's size.
+_RSS_LAUNCHER = """
+import json, os, subprocess, sys
+peaks = []
+for out_path, *args in json.loads(sys.argv[1]):
+    with open(out_path, "wb") as out:
+        proc = subprocess.Popen([sys.executable, "-m", "ncid.cli", *args],
+                                stdout=out, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+    peaks.append((os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+print(json.dumps(peaks))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_cli_peak_rss_above_start_stays_within_a_few_copies(tmp_path):
+    # Above a `gen --trunc 1` child, streaming the 4.3 MB (2, 2, 8) law costs
+    # about +5.5 MB and its degree-4 boolean certificate, with a 7.6 MB Gram,
+    # about +12 MB.  Joining the law's text (+17 MB) or holding four copies
+    # of the Gram (+25 MB) breaks the guard.
+    law = str(tmp_path / "law.json")
+    runs = [
+        [str(tmp_path / "one.json"), "gen", "--trunc", "1"],
+        [law, "gen", "--k", "2", "--d", "2", "--trunc", "8"],
+        [str(tmp_path / "cert.json"), "certify", "--kind", "boolean", "--degree", "4", law],
+    ]
+    env = dict(os.environ, NCID_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _RSS_LAUNCHER, json.dumps(runs)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    (base, base_kb), (gen, gen_kb), (cert, cert_kb) = json.loads(out.stdout)
+    assert base == gen == cert == 0
+    assert (gen_kb - base_kb) / 1024 <= 10.0
+    assert (cert_kb - base_kb) / 1024 <= 18.0

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ncid.algebra import AlgebraPair
-from ncid.certify import SigmaForm, family_from_levy_hincin, hermitian_gram, word_pairing
+from ncid import fock
+from ncid.algebra import block_matrix
+from ncid.certify import SigmaForm, family_from_levy_hincin, word_pairing
 from ncid.convolution import boolean_convolve, cfree_convolve, free_convolve, root
 from ncid.cumulants import moments_from_cfree, moments_from_free
 from ncid.distribution import generate_realizable, scalar_from_moments
@@ -38,6 +40,7 @@ from ncid.fock import (
 
 from conftest import (
     cfree_levy_hincin_data,
+    copied_assembly,
     free_levy_hincin_data,
     relerr,
 )
@@ -455,8 +458,26 @@ def test_free_gram_matches_the_key_by_key_pairing(pair22, ncomp, cap):
     model = free_sum_model([free_levy_hincin_data(s, pair22, 6) for s in (50, 51)[:ncomp]])
     G, keys = gram_matrix(model, cap)
     blocks = np.array([[free_pairing_reference(model, ka, kb) for kb in keys] for ka in keys])
-    want = hermitian_gram(blocks)
+    want = block_matrix(blocks)
+    want = 0.5 * (want + want.conj().T)
     assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_fock_grams_are_bit_identical_to_the_copied_assembly(pair22, pair24):
+    mus = [generate_realizable(s, pair24, 6, ambient=8) for s in (7, 8)]
+    frees = [free_levy_hincin_data(s, pair22, 6) for s in (50, 51)]
+    for model, cap in (
+        (boolean_sum_model(mus[:1]), 3),
+        (boolean_sum_model(mus), 2),
+        (free_sum_model(frees[:1]), 3),
+        (free_sum_model(frees), 2),
+    ):
+        def build():
+            return gram_matrix(model, cap)
+
+        (G, keys), (want, want_keys) = build(), copied_assembly(build, fock)
+        assert keys == want_keys
+        assert np.array_equal(G, want)
 
 
 def split_key(kind: str, key):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ncid.cumulants import CumulantFamily, boolean_from_moments, free_from_momen
 from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
 from ncid.errors import DimensionMismatch, NCIDError, NotHermitian
 from ncid.serialize import (
+    _emit,
     dumps,
     extraction_from_json,
     extraction_to_json,
@@ -344,6 +346,42 @@ def test_dumps_rejects_non_finite_tensors(bad):
     t[1, 0] = bad
     with pytest.raises(NCIDError, match="non-finite"):
         dumps(tensor_to_json(t))
+
+
+def test_a_non_finite_value_is_refused_before_the_first_write():
+    bad = np.ones((2, 2), dtype=complex)
+    bad[1, 1] = complex(0.0, float("nan"))
+    written = []
+    for obj in (
+        {"first": np.ones((3, 2)), "second": bad},
+        {"first": np.ones((3, 2)), "rest": [1, "x", float("inf")]},
+        {"first": np.ones((3, 2)), "rest": [object()]},
+    ):
+        with pytest.raises(NCIDError, match="cannot serialize"):
+            _emit(obj, written.append)
+    assert written == []
+
+
+def test_streamed_law_is_the_joined_text_and_holds_less_than_it(mu228, tmp_path):
+    # Each tensor is written one leading-axis row at a time, so the text of
+    # the whole law is never held: about 0.6 x its length is traced.
+    obj = functional_to_json(mu228)
+    text = dumps(obj)
+    pieces = []
+    _emit(obj, pieces.append)
+    assert "".join(pieces) == text
+    save_path(str(tmp_path / "law.json"), obj)
+    assert (tmp_path / "law.json").read_text() == text + "\n"
+    del pieces
+    length = len(text)
+    del text
+    tracemalloc.start()
+    try:
+        _emit(obj, len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * length
 
 
 # load_path reads tensors in the exact layout dumps writes with one flat parse
