@@ -5,7 +5,9 @@ an associated bilinear form is positive semidefinite on polynomials without
 free term.  The certifier materializes that form as a finite Gram matrix on
 monomials up to a degree, checks the minimal eigenvalue of that matrix graded
 by word length, and on failure emits the offending coefficient vector
-together with its quadratic form value.
+together with its quadratic form value.  That judge is the package's one
+positivity verdict: certify_levy_hincin applies it to Levy-Hincin data, and
+the Fock model builders refuse exactly the data whose certificate fails.
 """
 
 from __future__ import annotations
@@ -42,15 +44,11 @@ class SigmaForm:
             raise NCIDError(f"values_in must be 'B' or 'D', got {self.values_in!r}")
         if self.truncation < 0:
             raise NCIDError("sigma form needs at least level 0")
-        v = self.value_dim
+        v = self.pair.k if self.values_in == "B" else self.pair.d
         k2 = self.pair.k * self.pair.k
         lv = _checked_levels("sigma", self.levels, range(self.truncation + 1),
                              lambda m: (k2,) * (m + 1) + (v, v))
         object.__setattr__(self, "levels", lv)
-
-    @property
-    def value_dim(self) -> int:
-        return self.pair.k if self.values_in == "B" else self.pair.d
 
     def level(self, m: int) -> np.ndarray:
         if m > self.truncation:
@@ -198,22 +196,6 @@ def gram(phi: MomentFunctional, degree: int, no_free_term: bool = True):
     return hermitian_gram(mat), consts + words
 
 
-def sigma_gram(sigma: SigmaForm, degree: int):
-    """Gram matrix of a sigma form over bordered words of degree <= degree."""
-    if 2 * degree > sigma.truncation:
-        raise TruncationExceeded(
-            f"sigma gram degree {degree} needs levels to {2 * degree}, "
-            f"stored {sigma.truncation}"
-        )
-    k = sigma.pair.k
-    nf = sum((k * k) ** j for j in range(1, degree + 2))
-    check_gram_size(nf, sigma.value_dim)
-    words = word_family(k, range(1, degree + 2))
-    mat, blocks = gram_arrays(nf, sigma.value_dim)
-    _word_blocks(blocks, sigma.levels, words, range(nf), k, 2)
-    return hermitian_gram(mat), words
-
-
 @dataclass(frozen=True, eq=False)
 class Certificate:
     kind: str
@@ -311,18 +293,26 @@ def certify(kind: str, data, degree: int, tol: float = DEFAULT_TOL) -> Certifica
 
 
 def family_from_levy_hincin(kind, alpha, sigma, truncation=None) -> CumulantFamily:
-    """Rebuild the cumulant family of the divisible law with data (alpha, sigma)."""
+    """Rebuild the cumulant family of the divisible law with data (alpha,
+    sigma); D-valued data is shared, not copied."""
     pair = sigma.pair
     trunc = sigma.truncation + 2
     if truncation is not None:
         trunc = min(truncation, trunc)
-    levels = {}
     alpha = np.asarray(alpha, dtype=complex)
-    levels[1] = pair.embed(alpha) if values_in(kind) == "B" else alpha.copy()
+    levels = {1: pair.embed(alpha) if values_in(kind) == "B" else alpha}
     for n in range(2, trunc + 1):
         lev = sigma.levels[n - 2]
-        levels[n] = pair.embed_tensor(lev) if sigma.values_in == "B" else lev.copy()
+        levels[n] = pair.embed_tensor(lev) if sigma.values_in == "B" else lev
     return CumulantFamily(kind=kind, pair=pair, truncation=trunc, levels=levels)
+
+
+def certify_levy_hincin(kind: str, alpha, sigma: SigmaForm) -> Certificate:
+    """Certificate of the divisible law with data (alpha, sigma), judged as
+    levy_hincin_extract judges its cumulant family: the positivity of sigma
+    on bordered words, at degree truncation // 2 of the family."""
+    fam = family_from_levy_hincin(kind, alpha, sigma)
+    return _certify_families(kind, [fam], fam.truncation // 2, DEFAULT_TOL)
 
 
 def levy_hincin_extract(kind: str, data, tol: float = DEFAULT_TOL):

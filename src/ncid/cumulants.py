@@ -37,9 +37,11 @@ from .errors import DimensionMismatch, NCIDError, PairMismatch, TooLarge, Trunca
 KINDS = ("boolean", "free", "cfree")
 
 # einsum subscripts of the free and c-free terms: a, b, c label value axes and
-# these the slots.  Level n needs 2n - 3 of them, which caps the truncation.
+# these the slots.  Level n needs 2n - 3 of them; they last to level 26.
 _SLOT_LETTERS = string.ascii_lowercase[3:] + string.ascii_uppercase
-_MAX_LEVEL = (len(_SLOT_LETTERS) + 3) // 2
+# Work budget of one recursion in naive einsum iterations (about 3e-8 s each),
+# an einsum call costing about _CALL_COST of them: about 20 s of one core.
+_CALL_COST, MAX_RECURSION_WORK = 2000, 2**29
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -226,12 +228,17 @@ def moments_from_boolean(fam: CumulantFamily) -> MomentFunctional:
     return MomentFunctional(pair=fam.pair, truncation=fam.truncation, levels=m)
 
 
-def _check_recursion_level(truncation: int) -> None:
-    if truncation > _MAX_LEVEL:
-        raise TooLarge(
-            f"free and c-free recursions stop at truncation {_MAX_LEVEL}, "
-            f"got {truncation}"
-        )
+def _check_recursion_work(pair: AlgebraPair, trunc: int) -> None:
+    """Refuse (TooLarge) a recursion over pair whose pivot einsums pass
+    MAX_RECURSION_WORK.  Level m + 1 runs 2^m - 1 calls, C(m, p - 1) of them
+    over k^(2(m+p-1)) slots and at most d^3 values; above truncation 19 the
+    calls alone pass the budget, so larger ones count as 30."""
+    k2, d = pair.k**2, pair.d
+    work = sum(_CALL_COST * (2**m - 1) + d**3 * k2**m * ((1 + k2) ** m - k2**m)
+               for m in range(1, min(trunc, 30)))
+    if work > MAX_RECURSION_WORK:
+        raise TooLarge(f"free and c-free recursions over M_{pair.k} in M_{d} at truncation "
+                       f"{trunc} pass the work budget {MAX_RECURSION_WORK}")
 
 
 def _pullback_levels(nu: MomentFunctional) -> dict:
@@ -240,6 +247,7 @@ def _pullback_levels(nu: MomentFunctional) -> dict:
 
 def _cumulant_levels(mu_levels, nub, pair, trunc) -> dict:
     """Levels 1..trunc of cR_{mu,nu} over pair, nu's levels nub inside B."""
+    _check_recursion_work(pair, trunc)
     ck = {1: mu_levels[1].copy()}
     for n in range(2, trunc + 1):
         ck[n] = mu_levels[n] - _cfree_level_sum(n, ck, mu_levels, nub, pair)
@@ -249,6 +257,7 @@ def _cumulant_levels(mu_levels, nub, pair, trunc) -> dict:
 def _moment_levels(ck_levels, nub, pair, trunc) -> dict:
     """Levels 1..trunc of mu from cR_{mu,nu} over pair.  nub None means
     nu = mu: level n reads nu only up to level n - 2, already built."""
+    _check_recursion_work(pair, trunc)
     m = {1: ck_levels[1].copy()}
     nub = m if nub is None else nub
     for n in range(2, trunc + 1):
@@ -258,7 +267,6 @@ def _moment_levels(ck_levels, nub, pair, trunc) -> dict:
 
 def free_from_moments(nu: MomentFunctional) -> CumulantFamily:
     """Free cumulants of a B-valued functional: cR_{nu,nu} computed inside B."""
-    _check_recursion_level(nu.truncation)
     nub = _pullback_levels(nu)
     kb = _cumulant_levels(nub, nub, AlgebraPair.identity(nu.pair.k), nu.truncation)
     levels = {n: nu.pair.embed_tensor(t) for n, t in kb.items()}
@@ -268,7 +276,6 @@ def free_from_moments(nu: MomentFunctional) -> CumulantFamily:
 def moments_from_free(fam: CumulantFamily) -> MomentFunctional:
     if fam.kind != "free":
         raise NCIDError(f"expected a free family, got {fam.kind!r}")
-    _check_recursion_level(fam.truncation)
     pair = fam.pair
     kb = {n: pair.pullback_tensor(t) for n, t in fam.levels.items()}
     nub = _moment_levels(kb, None, AlgebraPair.identity(pair.k), fam.truncation)
@@ -281,7 +288,6 @@ def cfree_from_moments(mu: MomentFunctional, nu: MomentFunctional) -> CumulantFa
     if not mu.pair.same_pair(nu.pair):
         raise PairMismatch("mu and nu live over different algebra pairs")
     trunc = min(mu.truncation, nu.truncation)
-    _check_recursion_level(trunc)
     ck = _cumulant_levels(mu.levels, _pullback_levels(nu), mu.pair, trunc)
     return CumulantFamily(kind="cfree", pair=mu.pair, truncation=trunc, levels=ck)
 
@@ -292,7 +298,6 @@ def moments_from_cfree(fam: CumulantFamily, nu: MomentFunctional) -> MomentFunct
     if not fam.pair.same_pair(nu.pair):
         raise PairMismatch("cumulant family and nu live over different algebra pairs")
     trunc = min(fam.truncation, nu.truncation)
-    _check_recursion_level(trunc)
     m = _moment_levels(fam.levels, _pullback_levels(nu), fam.pair, trunc)
     return MomentFunctional(pair=fam.pair, truncation=trunc, levels=m)
 

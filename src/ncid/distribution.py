@@ -19,6 +19,7 @@ from .errors import (DimensionMismatch, NCIDError, NotHermitian, SeedExhausted, 
 
 # Largest truncation whose einsum calls fit numpy's 64 subscripts (N + 2 at truncation N).
 MAX_GENERATE_TRUNCATION = 62
+MAX_GENERATE_WORK = 2**32  # operations of generate_realizable, about 5 ns each
 
 
 def contract_units(tensor: np.ndarray, coeffs) -> np.ndarray:
@@ -219,13 +220,15 @@ def generate_realizable(seed: int, pair: AlgebraPair, truncation: int, ambient: 
         )
     if truncation > MAX_GENERATE_TRUNCATION:
         raise TooLarge(f"truncation {truncation} is above {MAX_GENERATE_TRUNCATION}, the einsum limit")
-    # Levels, the largest chain, the ambient operators.
+    # Levels, the largest chain, the ambient operators; the work is the
+    # spectral norm's SVD, then each level's projection and chain product.
     k2, top = k * k, max(truncation, 1)
-    need = 16 * (d * d * sum(k2**n for n in range(top)) + ambient * d * k2 ** (top - 1)
-                 + 2 * k2 * ambient * ambient)
-    if need > MAX_GENERATE_BYTES:
-        raise TooLarge(f"truncation {truncation}, k={k}, d={d}, ambient={ambient} "
-                       f"needs at least {need} bytes, above {MAX_GENERATE_BYTES}")
+    words = sum(k2**n for n in range(top))
+    need = 16 * (d * d * words + ambient * d * k2 ** (top - 1) + 2 * k2 * ambient * ambient)
+    work = ambient**3 + ambient * d * (d + k2 * ambient) * words
+    if need > MAX_GENERATE_BYTES or work > MAX_GENERATE_WORK:
+        raise TooLarge(f"truncation {truncation}, k={k}, d={d}, ambient={ambient}: {need} bytes, "
+                       f"{work} operations (at most {MAX_GENERATE_BYTES}, {MAX_GENERATE_WORK})")
     rng = seeded_rng(seed)
     g = rng.standard_normal((ambient, ambient)) + 1j * rng.standard_normal((ambient, ambient))
     a = (g + adjoint(g)) / 2.0

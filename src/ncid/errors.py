@@ -53,7 +53,7 @@ class PairMismatch(NCIDError):
 
 
 class GramNotPSD(NCIDError):
-    """Positivity input check failed when constructing a Fock model."""
+    """A Fock model's data failed its divisibility certificate."""
 
 
 class DepthExceeded(NCIDError):

@@ -32,6 +32,10 @@ fock_basis lists the keys shape by shape, lexicographic in the letters
 within a shape, so operator_matrix applies an operator once per shape, to
 the identity on its keys, and gram_matrix fills one block per shape pair.
 
+Each builder gates its data on a certificate of ncid.certify (certify for a
+boolean law, certify_levy_hincin for a free or c-free side): data gets a model
+exactly when its certificate passes, and GramNotPSD otherwise.
+
 Multi-component models share one vacuum; a component's operators act only on
 its own letters, which is exactly what makes the mixed moments factor the
 way the corresponding independence demands.
@@ -45,17 +49,18 @@ from math import sqrt
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraPair, psd_floor, require_hermitian
+from .algebra import AlgebraPair, require_hermitian
 from .certify import (
     SigmaForm,
     _word_blocks,
+    certify,
+    certify_levy_hincin,
     check_gram_size,
-    gram,
     gram_arrays,
     hermitian_gram,
-    sigma_gram,
     word_family,
 )
+from .cumulants import values_in
 from .distribution import MomentFunctional
 from .errors import (
     DepthExceeded,
@@ -86,11 +91,11 @@ class FockModel:
     scales: tuple
 
 
-def _check_gram_psd(mat: np.ndarray, what: str, tol: float = DEFAULT_TOL) -> None:
-    """Gate on a Hermitian Gram matrix from certify.gram or sigma_gram."""
-    vals = np.linalg.eigvalsh(mat)
-    if vals[0] < psd_floor(mat, tol):
-        raise GramNotPSD(f"{what} has negative eigenvalue {vals[0]:.3e}")
+def _gate(cert, what: str) -> None:
+    """Refuse (GramNotPSD) model data whose certificate fails."""
+    if not cert.passed:
+        raise GramNotPSD(f"{what} fails the {cert.kind} certificate at degree "
+                         f"{cert.degree}: min eigenvalue {cert.min_eig:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +116,16 @@ def _model(kind: str, pair: AlgebraPair, comps: list, depth) -> FockModel:
     return FockModel(kind=kind, pair=pair, depth=depth, components=tuple(comps), scales=scales)
 
 
-def _side(pair: AlgebraPair, alpha, sigma: SigmaForm, values_in: str, what: str):
-    """Check one (alpha, sigma) side of a free or c-free component; return
-    alpha and its annihilation table: alpha at 1, sigma level m at m + 2."""
-    if sigma.values_in != values_in:
-        raise DimensionMismatch(f"{what} sigma form must be {values_in}-valued")
+def _side(pair: AlgebraPair, alpha, sigma: SigmaForm, kind: str, what: str):
+    """Check one (alpha, sigma) side of a free or c-free component (its
+    certificate checks alpha's shape); return alpha and its annihilation
+    table: alpha at 1, sigma level m at m + 2."""
+    if sigma.values_in != values_in(kind):
+        raise DimensionMismatch(f"{what} sigma form must be {values_in(kind)}-valued")
     if not pair.same_pair(sigma.pair):
         raise DimensionMismatch("model components over different pairs")
-    v = sigma.value_dim
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (v, v):
-        raise DimensionMismatch(f"{what} alpha must be {v} x {v}")
-    require_hermitian(alpha)
-    mat, _ = sigma_gram(sigma, sigma.truncation // 2)
-    _check_gram_psd(mat, f"{what} sigma Gram")
+    _gate(certify_levy_hincin(kind, alpha, sigma), f"{what} data")
+    alpha = require_hermitian(alpha)
     table = {1: alpha}
     table.update((m + 2, sigma.levels[m]) for m in range(sigma.truncation + 1))
     return alpha, table
@@ -147,8 +148,7 @@ def boolean_sum_model(mus, depth: int | None = None) -> FockModel:
     for mu in mus:
         check_deg = min(depth, mu.truncation // 2)
         if check_deg >= 1:
-            mat, _ = gram(mu, check_deg, no_free_term=False)
-            _check_gram_psd(mat, "input moment Gram")
+            _gate(certify("boolean", mu, check_deg), "input law")
         comps.append({"levels": dict(mu.levels), "trunc": mu.truncation})
     return _model("boolean", pair, comps, depth)
 
@@ -162,7 +162,7 @@ def free_sum_model(datas, depth: int | None = None) -> FockModel:
     pair = datas[0][1].pair
     comps = []
     for alpha, sigma in datas:
-        alpha, kb = _side(pair, alpha, sigma, "B", "free model")
+        alpha, kb = _side(pair, alpha, sigma, "free", "free model")
         comps.append({"alpha": alpha, "kb": kb, "sigma": sigma})
     return _model("free", pair, comps, depth)
 
@@ -178,8 +178,8 @@ def cfree_sum_model(datas, depth: int | None = None) -> FockModel:
     pair = datas[0][1].pair
     comps = []
     for alpha1, sigma1, alpha2, sigma2 in datas:
-        alpha1, kb = _side(pair, alpha1, sigma1, "B", "c-free free-side")
-        alpha2, ckd = _side(pair, alpha2, sigma2, "D", "c-free c-free-side")
+        alpha1, kb = _side(pair, alpha1, sigma1, "free", "c-free free-side")
+        alpha2, ckd = _side(pair, alpha2, sigma2, "cfree", "c-free c-free-side")
         comps.append({"alpha": alpha1, "kb": kb, "sigma": sigma1, "alpha2": alpha2, "ckd": ckd})
     return _model("cfree", pair, comps, depth)
 

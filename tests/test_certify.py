@@ -12,10 +12,11 @@ from ncid.certify import (
     Certificate,
     SigmaForm,
     certify,
+    certify_levy_hincin,
+    family_from_levy_hincin,
     gram,
     levy_hincin_extract,
     levy_hincin_reconstruct,
-    sigma_gram,
 )
 from ncid import certify as certify_module, cumulants
 from ncid.convolution import convolve, root
@@ -210,13 +211,19 @@ def test_certificate_json_key_order(semicircle, bernoulli):
     assert list(bad["witness"]) == ["coeffs", "quadratic_form"]
 
 
-def test_sigma_gram_of_bordered_form_is_psd(mu22):
-    sigma = SigmaForm.from_bordered(mu22, values_in="D")
-    mat, _ = sigma_gram(sigma, sigma.truncation // 2)
-    scale = max(1.0, float(np.abs(mat).max()))
-    assert np.linalg.eigvalsh(mat)[0] > -1e-10 * scale
-    with pytest.raises(TruncationExceeded):
-        sigma_gram(sigma, sigma.truncation)
+def test_bordered_sigma_form_passes_its_certificate(mu22):
+    # sigma(f) = mu(X f X) of a positive law is positive, as a c-free (D) or
+    # a free (B) form; its certificate pairs levels up to the family's
+    # truncation, so a Gram of one degree more is refused
+    alpha = hermitize(mu22.raw(1))
+    for kind, where in (("cfree", "D"), ("free", "B")):
+        sigma = SigmaForm.from_bordered(mu22, values_in=where)
+        cert = certify_levy_hincin(kind, alpha, sigma)
+        assert cert.passed and cert.kind == kind
+        assert cert.degree == (sigma.truncation + 2) // 2
+        rho = functional_of(kind, family_from_levy_hincin(kind, alpha, sigma))
+        with pytest.raises(TruncationExceeded):
+            gram(rho, cert.degree + 1)
 
 
 def test_boolean_extract_always_succeeds(mu22, mu24):
@@ -436,8 +443,8 @@ def test_conjugate_matches_direct_evaluation(pair22):
 
 def test_oversized_grams_are_refused_before_allocation(pair22):
     # certify --degree 6 at k = 2 asks for 5460 words: a 10920^2 complex Gram
-    # of 1.9 GB, held three times over.  The zero-stride law holds nothing, so
-    # the traced peak shows that no Gram array was made.
+    # of 1.9 GB, held three times over.  The zero-stride law and sigma form
+    # hold nothing, so the traced peak shows that no Gram array was made.
     law = zero_law(pair22, 12)
     zero = np.zeros((), dtype=complex)
     sigma = SigmaForm(pair22, "D", 10, {m: np.broadcast_to(zero, (4,) * (m + 1) + (2, 2))
@@ -446,7 +453,7 @@ def test_oversized_grams_are_refused_before_allocation(pair22):
         lambda: gram(law, 6),
         lambda: certify("boolean", law, 6),
         lambda: certify("condition1", law, 6),
-        lambda: sigma_gram(sigma, 5),
+        lambda: certify_levy_hincin("cfree", np.zeros((2, 2)), sigma),
     )
     tracemalloc.start()
     try:
@@ -466,9 +473,6 @@ def test_grams_are_bit_identical_to_the_copied_assembly(mu22, mu24, semicircle, 
         lambda: gram(mu24, 2, no_free_term=False),
         lambda: gram(semicircle, 3, no_free_term=False),
         lambda: rho_gram(bernoulli, 3),
-        lambda: sigma_gram(SigmaForm.from_bordered(mu22), 2),
-        lambda: sigma_gram(SigmaForm.from_bordered(mu22, "B"), 2),
-        lambda: sigma_gram(SigmaForm.from_bordered(mu24), 1),
     ]
     for build in builds:
         (mat, family), (want, want_family) = build(), copied_assembly(build, certify_module)

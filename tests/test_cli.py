@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,29 @@ def test_certify_refuses_oversized_gram(tmp_path):
     path.write_text(dumps(functional_to_json(zero_law(AlgebraPair.identity(16), 2))))
     out = run_cli("certify", "--kind", "boolean", "--degree", "1", str(path))
     assert out.returncode == 1, out.stdout
+    assert json.loads(out.stdout)["error"]["type"] == "TooLarge"
+    assert out.stderr == ""
+
+
+@pytest.mark.parametrize("k, trunc", [(1, 24), (2, 9)])
+def test_free_and_cfree_past_the_work_budget_exit_1(tmp_path, k, trunc):
+    path = str(tmp_path / "big.json")
+    Path(path).write_text(dumps(functional_to_json(zero_law(AlgebraPair.identity(k), trunc))))
+    for argv in (["cumulants", "--kind", "free", "--in", path],
+                 ["cumulants", "--kind", "cfree", "--in", path, "--aux", path]):
+        out = run_cli(*argv)
+        assert out.returncode == 1, out.stdout
+        assert json.loads(out.stdout)["error"]["type"] == "TooLarge"
+        assert out.stderr == ""
+
+
+def test_gen_past_the_work_budget_exits_1():
+    # found by the generative gate: d = 1945 passes the byte budget, but its
+    # ambient 3890 made gen run for minutes
+    start = time.perf_counter()
+    out = run_cli("gen", "--k=1", "--d=1945", "--trunc=1", "--seed=0")
+    assert time.perf_counter() - start < 10.0
+    assert out.returncode == 1, out.stdout[:200]
     assert json.loads(out.stdout)["error"]["type"] == "TooLarge"
     assert out.stderr == ""
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from ncid.algebra import AlgebraPair
+from ncid import cumulants
 from ncid.cumulants import (
     CumulantFamily,
     boolean_from_moments,
@@ -28,6 +31,7 @@ from conftest import (
     divisible_free,
     rand_b,
     relerr,
+    zero_law,
 )
 
 # degree 1..6 cumulants of the frozen scalar laws
@@ -286,6 +290,39 @@ def test_recursions_refuse_truncations_beyond_the_letters():
     fam = CumulantFamily(kind="free", pair=law.pair, truncation=28, levels=law.levels)
     with pytest.raises(TooLarge):
         moments_from_free(fam)
+
+
+@pytest.mark.parametrize("k, trunc", [(1, 24), (2, 9)])
+def test_recursions_past_the_work_budget_are_refused_at_once(k, trunc):
+    # (1, 1, 24) would run for hours and (2, 2, 9) for days; the zero-stride
+    # law holds no tensor memory
+    law = zero_law(AlgebraPair.identity(k), trunc)
+    fams = {kind: CumulantFamily(kind=kind, pair=law.pair, truncation=trunc, levels=law.levels)
+            for kind in ("free", "cfree")}
+    runs = (
+        lambda: free_from_moments(law),
+        lambda: moments_from_free(fams["free"]),
+        lambda: cfree_from_moments(law, law),
+        lambda: moments_from_cfree(fams["cfree"], law),
+    )
+    start = time.perf_counter()
+    for run in runs:
+        with pytest.raises(TooLarge, match="work budget"):
+            run()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("k, d, trunc", [
+    (1, 1, 14),  # test_free_cumulants_at_truncation_fourteen
+    (1, 1, 18),  # about 18 s of free_from_moments
+    (1, 1, 12),  # perfbench points-k1-n12
+    (2, 2, 6),  # selftest, perfbench lib-k2-n6, divisibility_sweep
+    (2, 2, 7),  # about 5 s of free_from_moments
+    (2, 4, 6),  # c-free over block_diagonal(2, 4) in the tests
+])
+def test_recursion_sizes_in_use_fit_the_work_budget(k, d, trunc):
+    pair = AlgebraPair.identity(k) if k == d else AlgebraPair.block_diagonal(k, d)
+    cumulants._check_recursion_work(pair, trunc)
 
 
 def test_evaluate_above_truncation_is_typed(mu22):

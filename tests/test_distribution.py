@@ -140,11 +140,12 @@ def test_seed_exhausted_on_impossible_ambient(pair22):
 
 @pytest.mark.parametrize(
     "truncation, ambient",
-    [(13, 4), (30, 4), (10**9, 4), (4, 10**5)],
+    [(13, 4), (30, 4), (10**9, 4), (4, 10**5), (1, 2000)],
 )
 def test_generate_refuses_oversized_requests(pair22, truncation, ambient):
     # Each request is refused from its sizes alone, before any allocation:
-    # truncation 13 at k = d = 2 needs 3.6 GB, the others far more.
+    # truncation 13 at k = d = 2 needs 3.6 GB, the others far more.  Ambient
+    # 2000 fits in 0.5 GB, but the SVD of its norm alone is 8e9 operations.
     with pytest.raises(TooLarge):
         generate_realizable(0, pair22, truncation, ambient)
 

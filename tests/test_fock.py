@@ -8,11 +8,18 @@ import pytest
 from ncid.algebra import AlgebraPair
 from ncid import fock
 from ncid.algebra import block_matrix
-from ncid.certify import SigmaForm, family_from_levy_hincin, word_pairing
+from ncid.certify import (
+    SigmaForm,
+    certify,
+    family_from_levy_hincin,
+    levy_hincin_extract,
+    word_pairing,
+)
 from ncid.convolution import boolean_convolve, cfree_convolve, free_convolve, root
 from ncid.cumulants import moments_from_cfree, moments_from_free
 from ncid.distribution import generate_realizable, scalar_from_moments
 from ncid.errors import (
+    CertificateFailed,
     DepthExceeded,
     DimensionMismatch,
     GramNotPSD,
@@ -39,6 +46,7 @@ from ncid.fock import (
 )
 
 from conftest import (
+    SEMICIRCLE_MOMENTS,
     cfree_levy_hincin_data,
     copied_assembly,
     free_levy_hincin_data,
@@ -275,6 +283,76 @@ def test_gram_gate_rejects_bad_moments():
     sigma = scalar_sigma({0: -1.0, 1: 0.0, 2: 0.0})
     with pytest.raises(GramNotPSD):
         build_free(np.zeros((1, 1)), sigma)
+
+
+def test_side_alpha_of_the_wrong_shape_is_refused():
+    # the certificate's cumulant family checks alpha against the pair
+    sigma_b, sigma_d = scalar_sigma({0: 1.0, 1: 0.0, 2: 0.0}), scalar_sigma({0: 1.0}, "D")
+    for alpha in (np.zeros((2, 2)), np.zeros(1)):
+        with pytest.raises(DimensionMismatch):
+            build_free(alpha, sigma_b)
+        with pytest.raises(DimensionMismatch):
+            build_cfree(np.zeros((1, 1)), sigma_b, alpha, sigma_d)
+
+
+def negative_variance_law(lam: float):
+    """m = (lam, lam^2 / 2, lam^3, 2 lam^4, 3 lam^5, 6 lam^6): its variance
+    is -lam^2 / 2, and its boolean certificate reads -0.848 at every lam."""
+    return scalar_from_moments((lam, 0.5 * lam**2, lam**3, 2 * lam**4, 3 * lam**5, 6 * lam**6))
+
+
+def dilated_semicircle(i: int):
+    """The semicircle dilated by 10^(-3 + 0.2 i)."""
+    lam = 10.0 ** (-3 + 0.2 * i)
+    return scalar_from_moments(tuple(m * lam ** (n + 1) for n, m in enumerate(SEMICIRCLE_MOMENTS)))
+
+
+def builds(build, data) -> bool:
+    """Whether build(*data()) makes a model: extraction refuses data whose
+    certificate fails, the builder data whose own certificate fails."""
+    try:
+        build(*data())
+    except (CertificateFailed, GramNotPSD):
+        return False
+    return True
+
+
+def free_model_builds(law) -> bool:
+    return builds(build_free, lambda: levy_hincin_extract("free", law))
+
+
+def cfree_model_builds(law) -> bool:
+    return builds(build_cfree, lambda: levy_hincin_extract("free", law)
+                  + levy_hincin_extract("cfree", (law, law)))
+
+
+@pytest.mark.parametrize("lam", [1.0, 10.0, 100.0, 1000.0])
+def test_boolean_gate_refuses_negative_variance_at_every_scale(lam):
+    law = negative_variance_law(lam)
+    cert = certify("boolean", law, 3)
+    assert not cert.passed and abs(cert.min_eig + 0.848) < 1e-3
+    with pytest.raises(GramNotPSD, match="boolean certificate at degree 3: min eigenvalue -8.478e-01"):
+        build_boolean(law)
+
+
+def test_free_and_cfree_models_exist_exactly_where_the_certificates_pass():
+    # 10^2.4 (i = 27) and 10^2.6 (i = 28) are among the dilations
+    for i in range(31):
+        law = dilated_semicircle(i)
+        assert free_model_builds(law) == certify("free", law, 3).passed, i
+        assert cfree_model_builds(law) == certify("cfree", (law, law), 3).passed, i
+
+
+@pytest.mark.parametrize("kind, law, builds_model", [
+    # the raw least eigenvalue against -tol max|G| let this law through
+    ("boolean", negative_variance_law(100.0), lambda law: builds(build_boolean, lambda: [law])),
+    # the ungraded sigma Gram refused these two divisible laws
+    ("free", dilated_semicircle(27), free_model_builds),
+    ("cfree", dilated_semicircle(28), cfree_model_builds),
+], ids=["boolean", "free", "cfree"])
+def test_model_gate_agrees_with_the_certificate(kind, law, builds_model):
+    data = (law, law) if kind == "cfree" else law
+    assert builds_model(law) == certify(kind, data, 3).passed
 
 
 def test_components_must_share_pair(mu22, mu24):
