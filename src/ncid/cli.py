@@ -4,7 +4,9 @@ Subcommands load and emit the JSON schemas from the serialize module and all
 randomness flows through explicit --seed flags, so identical invocations give
 byte-identical output.  Exit codes: 0 success/pass, 2 failed certificate or
 identity check (the report or witness is still printed), 1 input error with a
-machine-readable {"error": ...} object.
+machine-readable {"error": ...} object.  A runner imports the certificate,
+convolution and nc-function modules itself, where it calls them, so each
+process loads only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -34,17 +36,9 @@ import argparse  # noqa: E402
 import numpy as np  # noqa: E402
 
 from .algebra import DEFAULT_TOL, AlgebraPair  # noqa: E402
-from .certify import certify, levy_hincin_extract  # noqa: E402
-from .convolution import convolve, root  # noqa: E402
 from .cumulants import KINDS, family_of, is_pair, moments_of  # noqa: E402
 from .distribution import generate_realizable, scalar_from_moments, seeded_rng  # noqa: E402
 from .errors import CertificateFailed, NCIDError  # noqa: E402
-from .ncfunctions import (  # noqa: E402
-    check_cauchy_relation,
-    check_identity,
-    check_nc_function_axioms,
-    tensor_compatibility,
-)
 from .serialize import (  # noqa: E402
     _emit as emit_json,
     extraction_to_json,
@@ -154,6 +148,8 @@ def _emit(obj) -> None:
 def _run_gen(args) -> int:
     if args.k < 1 or args.d < 1 or args.d % args.k != 0:
         raise UsageError("need 1 <= k dividing d")
+    if args.m is not None and args.m < 1:
+        raise UsageError("need --m >= 1")
     if args.k == args.d:
         pair = AlgebraPair.identity(args.k)
     else:
@@ -170,22 +166,35 @@ def _run_cumulants(args) -> int:
 
 
 def _run_convolve(args) -> int:
+    from .convolution import convolve
+
     _emit_law(args.kind, convolve(args.kind, [_load_law(args.kind, p) for p in args.files]))
     return 0
 
 
 def _run_root(args) -> int:
+    from .convolution import root
+
     _emit_law(args.kind, root(args.kind, _load_law(args.kind, args.file), args.n))
     return 0
 
 
 def _run_certify(args) -> int:
+    from .certify import certify
+
     cert = certify(args.kind, _load_data(args, args.file), args.degree, args.tol)
     _emit(cert.to_json())
     return 0 if cert.passed else 2
 
 
 def _run_check(args) -> int:
+    from .ncfunctions import (
+        check_cauchy_relation,
+        check_identity,
+        check_nc_function_axioms,
+        tensor_compatibility,
+    )
+
     mu = _load_functional(args.file)
     if args.identity in ("B", "R"):
         report = check_identity(args.identity, mu, order=args.order, seed=args.seed)
@@ -204,6 +213,8 @@ def _run_check(args) -> int:
 
 
 def _run_extract(args) -> int:
+    from .certify import levy_hincin_extract
+
     try:
         alpha, sigma = levy_hincin_extract(args.kind, _load_data(args, args.file), args.tol)
     except CertificateFailed as exc:
@@ -214,7 +225,9 @@ def _run_extract(args) -> int:
 
 
 def _run_selftest(args) -> int:
+    from .certify import certify
     from .fock import build_boolean, model_moment
+    from .ncfunctions import check_identity
 
     checks = []
 

@@ -8,13 +8,19 @@ is accepted too, and entries that are not finite floats are rejected.
 Output is streamed: save_path and the CLI write a document in pieces of at
 most one tensor row, never holding its whole text, and the bytes are those
 dumps returns.  A value that cannot be written raises before the first byte.
-Input may use any JSON whitespace; the values read and the errors raised
-do not depend on the layout.
+Input is decoded from the file's bytes: a tensor value in the exact layout
+dumps writes is checked on its skeleton and parsed in comma-aligned pieces
+of at most _PIECE_BYTES, straight into its float array, so no copy or float
+list of a whole tensor is made.  Everything else (NaN or Infinity anywhere,
+a value in another layout, a number json.loads rejects) goes through
+json.loads of the UTF-8 text.  Input may use any JSON whitespace; the
+values read and the errors raised do not depend on the layout.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -25,8 +31,9 @@ from .distribution import MomentFunctional, level_shape
 from .errors import DimensionMismatch, NCIDError
 
 # A member value made only of brackets, commas and number characters.
-_NUMERIC_VALUE = re.compile(r":(\[[-+.0-9eE,\[\]]*\])")
-_NUMBER_CHARS = str.maketrans("", "", "-+.0123456789eE")
+_TENSOR_VALUE = re.compile(rb":(\[[-+.0-9eE,\[\]]*\])")
+_NUMBER_BYTES = b"-+.0123456789eE"
+_PIECE_BYTES = 1 << 16  # the most bytes of a tensor value decoded at once
 _MAX_AXES = 64  # numpy's limit
 
 
@@ -286,51 +293,102 @@ def _pair_shape(skeleton: str):
     return shape if _layout(shape, "") == skeleton else None
 
 
-def _loads(text: str):
-    """json.loads(text), except that each member value written exactly as
-    _layout lays out a tensor becomes a float array of shape S + (2,).
+def _value_shape(raw: bytes, start: int, end: int):
+    """The shape S if raw[start:end] is laid out as _layout(S, number), or None.
 
-    Such a value's numbers go through one flat json.loads, which gives the
-    floats json.loads gives and rejects what it rejects.  The document keeps
-    a NaN placeholder in its place, so a file that spells NaN or Infinity
-    anywhere goes through plain json.loads, as does any value that is not
-    in that exact layout or holds an integer beyond float range.
+    The skeleton (the value without its number characters) is built one
+    piece of at most _PIECE_BYTES at a time.
     """
-    if "NaN" in text or "Infinity" in text:
-        return json.loads(text)
+    skeleton = b"".join(
+        raw[i : min(i + _PIECE_BYTES, end)].translate(None, _NUMBER_BYTES)
+        for i in range(start, end, _PIECE_BYTES)
+    )
+    return _pair_shape(skeleton.decode("ascii"))
+
+
+def _read_numbers(raw: bytes, start: int, end: int, shape):
+    """The numbers of raw[start:end], a value whose skeleton is
+    _layout(shape, ""), as a float array of shape + (2,); None if one of
+    them is not a JSON number or is an integer beyond float range.
+
+    The value is cut at commas into pieces of at most _PIECE_BYTES (or one
+    number, if that is longer), and each piece goes through one flat
+    json.loads, so no copy or float list of the whole value is made.  A
+    layout has one number between each two commas, so a piece of c commas
+    must give c + 1 numbers: fewer means an empty one.
+    """
+    out, pos = np.empty(2 * math.prod(shape)), 0
+    while start < end:
+        cut = end
+        if start + _PIECE_BYTES < end:
+            cut = raw.rfind(b",", start, start + _PIECE_BYTES)
+            if cut < 0:  # one number longer than a piece
+                cut = raw.find(b",", start + _PIECE_BYTES, end)
+                cut = end if cut < 0 else cut
+        piece = raw[start:cut]
+        try:
+            parts = np.array(json.loads(b"[" + piece.translate(None, b"[]") + b"]"), dtype=float)
+        except (ValueError, OverflowError):  # not JSON numbers, or an integer beyond float range
+            return None
+        if len(parts) != piece.count(b",") + 1:
+            return None
+        out[pos : pos + len(parts)] = parts
+        pos += len(parts)
+        start = cut + 1
+    return out.reshape(shape + (2,))
+
+
+def _text(raw: bytes) -> str:
+    """The file's text as open(path, encoding="utf-8").read() gives it."""
+    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _loads(raw: bytes):
+    """json.loads of the file's text, except that each member value written
+    exactly as _layout lays out a tensor becomes a float array of shape
+    S + (2,).
+
+    Such a value is checked and parsed from the bytes in pieces of at most
+    _PIECE_BYTES (see _read_numbers), which gives the floats json.loads
+    gives and rejects what it rejects.  The document keeps a NaN placeholder
+    in its place, so a file that spells NaN or Infinity anywhere goes
+    through plain json.loads of its text, as does any value that is not in
+    that exact layout or holds a number json.loads rejects, and any file
+    whose text json.loads rejects, so that the error is json.loads's own.
+    """
+    if b"NaN" in raw or b"Infinity" in raw:
+        return json.loads(_text(raw))
     arrays = []
 
-    def flatten(match):
-        value = match.group(1)
-        shape = _pair_shape(value.translate(_NUMBER_CHARS))
-        if shape is None:
+    def mark(match):
+        start, end = match.span(1)
+        shape = _value_shape(raw, start, end)
+        parts = None if shape is None else _read_numbers(raw, start, end, shape)
+        if parts is None:
             return match.group()
-        numbers = "[" + value.replace("[", "").replace("]", "") + "]"
-        try:
-            parts = np.array(json.loads(numbers), dtype=float)
-        except (ValueError, OverflowError):  # not JSON numbers, or an integer beyond float range
-            return match.group()
-        arrays.append(parts.reshape(shape + (2,)))
-        return ":NaN"
+        arrays.append(parts)
+        return b":NaN"
 
-    marked = _NUMERIC_VALUE.sub(flatten, text)
+    marked = _TENSOR_VALUE.sub(mark, raw)
     placed = iter(arrays)
     try:
-        data = json.loads(marked, parse_constant=lambda _: next(placed))
-    except (ValueError, RecursionError):
-        return json.loads(text)  # raises with the file's own positions
+        data = json.loads(marked.decode("utf-8"), parse_constant=lambda _: next(placed))
+    except (ValueError, RecursionError):  # bad syntax or encoding, a >4300-digit integer
+        return json.loads(_text(raw))  # raises with the file's own positions
     if next(placed, None) is not None:  # a placeholder fell inside a string
-        return json.loads(text)
+        return json.loads(_text(raw))
     return data
 
 
 def load_path(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = _loads(fh.read())
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise NCIDError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad syntax, a >4300-digit integer, deep nesting
+    try:
+        data = _loads(raw)
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, huge integers, deep nesting
         raise NCIDError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise NCIDError(f"{path} must contain a JSON object")

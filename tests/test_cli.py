@@ -64,6 +64,37 @@ def test_gen_rejects_bad_dimensions():
     assert err["type"] == "UsageError"
 
 
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_gen_rejects_a_non_positive_ambient_size(m):
+    out = run_cli("gen", "--m", m)
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["error"] == {"type": "UsageError", "message": "need --m >= 1"}
+
+
+# Prints the ncid modules loaded after one subcommand has run.
+_IMPORTED = """
+import sys
+from ncid import cli
+cli.main(sys.argv[1:])
+print(" ".join(sorted(m[5:] for m in sys.modules if m.startswith("ncid."))), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    (["gen", "--trunc", "2"], {"certify", "ncfunctions", "convolution", "fock"}),
+    (["cumulants", "--kind", "free", "--in", "SEMI"], {"certify", "ncfunctions", "convolution"}),
+    (["convolve", "--kind", "free", "SEMI", "SEMI"], {"certify", "ncfunctions"}),
+    (["root", "--kind", "free", "--n", "2", "SEMI"], {"certify", "ncfunctions"}),
+    (["check", "--identity", "B", "SEMI"], {"certify", "convolution"}),
+])
+def test_each_subcommand_imports_only_the_modules_it_calls(semi_path, argv, skipped):
+    out = subprocess.run([sys.executable, "-c", _IMPORTED,
+                          *[semi_path if a == "SEMI" else a for a in argv]],
+                         capture_output=True, text=True, timeout=300)
+    assert json.loads(out.stdout).get("error") is None
+    assert skipped.isdisjoint(out.stderr.split())
+
+
 def test_gen_refuses_oversized_truncation():
     out = run_cli("gen", "--k", "2", "--d", "2", "--trunc", "30")
     assert out.returncode == 1
@@ -388,19 +419,23 @@ print(json.dumps(peaks))
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
 def test_cli_peak_rss_above_start_stays_within_a_few_copies(tmp_path):
     # Above a `gen --trunc 1` child, streaming the 4.3 MB (2, 2, 8) law costs
-    # about +5.5 MB and its degree-4 boolean certificate, with a 7.6 MB Gram,
-    # about +12 MB.  Joining the law's text (+17 MB) or holding four copies
-    # of the Gram (+25 MB) breaks the guard.
+    # about +5.5 MB, convolving two such laws about +6 MB, and the law's
+    # degree-4 boolean certificate, with a 7.6 MB Gram, about +12 MB.
+    # Joining the law's text (+17 MB), loading a law through a copy and a
+    # float list of each whole tensor (+15.5 MB for the convolution) or
+    # holding four copies of the Gram (+25 MB) breaks the guard.
     law = str(tmp_path / "law.json")
     runs = [
         [str(tmp_path / "one.json"), "gen", "--trunc", "1"],
         [law, "gen", "--k", "2", "--d", "2", "--trunc", "8"],
+        [str(tmp_path / "sum.json"), "convolve", "--kind", "boolean", law, law],
         [str(tmp_path / "cert.json"), "certify", "--kind", "boolean", "--degree", "4", law],
     ]
     env = dict(os.environ, NCID_THREADS="1")
     out = subprocess.run([sys.executable, "-c", _RSS_LAUNCHER, json.dumps(runs)],
                          capture_output=True, text=True, env=env, timeout=300)
-    (base, base_kb), (gen, gen_kb), (cert, cert_kb) = json.loads(out.stdout)
-    assert base == gen == cert == 0
+    (base, base_kb), (gen, gen_kb), (conv, conv_kb), (cert, cert_kb) = json.loads(out.stdout)
+    assert base == gen == conv == cert == 0
     assert (gen_kb - base_kb) / 1024 <= 10.0
+    assert (conv_kb - base_kb) / 1024 <= 10.0
     assert (cert_kb - base_kb) / 1024 <= 18.0

@@ -6,12 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncid.algebra import AlgebraPair
 from ncid.certify import SigmaForm
 from ncid.cumulants import CumulantFamily, boolean_from_moments, free_from_moments
 from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
 from ncid.errors import DimensionMismatch, NCIDError, NotHermitian
+import ncid.serialize as serialize
 from ncid.serialize import (
     _emit,
     dumps,
@@ -384,6 +387,22 @@ def test_streamed_law_is_the_joined_text_and_holds_less_than_it(mu228, tmp_path)
     assert peak <= 1.0 * length
 
 
+def test_loading_a_law_holds_less_than_twice_its_file(mu228, tmp_path):
+    # The file's bytes, the float arrays and one piece of one tensor at a
+    # time: about 1.45 x the file's length.  A copy and a float list of each
+    # whole tensor (3.8 x) breaks the bound.
+    path = tmp_path / "law.json"
+    save_path(path, functional_to_json(mu228))
+    tracemalloc.start()
+    try:
+        data = load_path(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * path.stat().st_size
+    assert _same_law(functional_from_json(data), functional_from_json(_reference_load(path)))
+
+
 # load_path reads tensors in the exact layout dumps writes with one flat parse
 # of their numbers; the reference is json.load followed by the nested lists.
 
@@ -522,9 +541,92 @@ def test_load_path_keeps_values_and_error_types_of_the_nested_reader(name, tmp_p
         assert _same_law(functional_from_json(load_path(path)), want)
 
 
-def test_a_malformed_skeleton_builds_no_layout_longer_than_itself(monkeypatch):
-    import ncid.serialize as serialize
+def _loads_like_the_reference(path) -> None:
+    """load_path gives the reference's law, or its error type and message."""
+    try:
+        want = functional_from_json(_reference_load(path))
+    except NCIDError as exc:
+        with pytest.raises(NCIDError) as got:
+            functional_from_json(load_path(path))
+        assert type(got.value) is type(exc)
+        syntax = type(exc) is NCIDError  # the reference wraps json's own error
+        assert str(got.value) == (f"{path} is not valid JSON: {exc}" if syntax else str(exc))
+    else:
+        assert _same_law(functional_from_json(load_path(path)), want)
 
+
+def _late_pair(text: str) -> str:
+    """The small law with the second last pair of level 2 replaced."""
+    return _level_2(_nest(_PAIRS[:14] + [text] + _PAIRS[15:], (4, 2, 2)))
+
+
+_PRETTY = json.dumps(json.loads(_SMALL_LAW), indent=1).replace("\n", "\r\n")
+_AT_PIECE_EDGES = {
+    "unchanged": _SMALL_LAW.encode(),
+    "integer pairs": _level_2(_nest(_PAIRS, (4, 2, 2))).encode(),
+    "malformed number in a later piece": _late_pair("[1.,0]").encode(),
+    "leading zero in a later piece": _late_pair("[0,01]").encode(),
+    "empty real part": _late_pair("[,1]").encode(),
+    "empty imaginary part": _late_pair("[1,]").encode(),
+    "empty number between two": _late_pair("[1,,2]").encode(),
+    "beyond float range in a later piece": _late_pair("[" + "9" * 400 + ",0]").encode(),
+    "beyond the digit limit in a later piece": _late_pair("[" + "9" * 5000 + ",0]").encode(),
+    "a number longer than a piece": _late_pair("[1." + "0" * 300 + "1,-0]").encode(),
+    "UTF-8 BOM": "\ufeff".encode() + _SMALL_LAW.encode(),
+    "UTF-16": _SMALL_LAW.encode("utf-16"),
+    "CRLF": _PRETTY.encode(),
+    "CRLF, missing comma": _PRETTY.replace(",", "", 7).encode(),
+    "invalid UTF-8": _SMALL_LAW.replace("truncation", "trunc\u00e9tion").encode()[:-3] + b"\xc3(}",
+}
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64, 1 << 16])
+@pytest.mark.parametrize("name", list(_AT_PIECE_EDGES))
+def test_pieces_read_as_the_nested_reader_at_every_boundary(name, piece, tmp_path, monkeypatch):
+    # piece 1 puts a boundary at every comma; 1 << 16 reads each tensor whole
+    monkeypatch.setattr(serialize, "_PIECE_BYTES", piece)
+    path = tmp_path / "law.json"
+    path.write_bytes(_AT_PIECE_EDGES[name])
+    _loads_like_the_reference(path)
+
+
+def _mutated(draw, text: str) -> str:
+    """text with one byte-level change: a digit replaced by a number
+    character, a comma doubled or dropped, or a bracket moved or deleted."""
+    op = draw(st.sampled_from(["digit", "comma", "bracket"]))
+    if op == "digit":
+        i = draw(st.sampled_from([i for i, c in enumerate(text) if c.isdigit()]))
+        return text[:i] + draw(st.sampled_from("-+.eE")) + text[i + 1 :]
+    if op == "comma":
+        i = draw(st.sampled_from([i for i, c in enumerate(text) if c == ","]))
+        return text[:i] + draw(st.sampled_from([",,", ""])) + text[i + 1 :]
+    i = draw(st.sampled_from([i for i, c in enumerate(text) if c in "[]"]))
+    rest = text[:i] + text[i + 1 :]
+    if draw(st.booleans()):
+        return rest
+    j = draw(st.integers(0, len(rest)))
+    return rest[:j] + text[i] + rest[j:]
+
+
+def test_mutated_laws_read_as_the_nested_reader(tmp_path_factory):
+    tmp_dir = tmp_path_factory.mktemp("mutated")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        text = _SMALL_LAW
+        for _ in range(data.draw(st.integers(1, 3))):
+            text = _mutated(data.draw, text)
+        path = tmp_dir / "law.json"
+        path.write_text(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "_PIECE_BYTES", data.draw(st.sampled_from([1, 7, 1 << 16])))
+            _loads_like_the_reference(path)
+
+    check()
+
+
+def test_a_malformed_skeleton_builds_no_layout_longer_than_itself(monkeypatch):
     layout = serialize._layout
     built = []
     monkeypatch.setattr(
