@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, psd_floor
 from .cumulants import CumulantFamily, families, functional_of, values_in
 from .distribution import MAX_GENERATE_BYTES, MomentFunctional, _checked_levels
-from .errors import CertificateFailed, NCIDError, TooLarge, TruncationExceeded
+from .errors import CertificateFailed, DimensionMismatch, NCIDError, TooLarge, TruncationExceeded
 from .ncfunctions import _point_entries, eval_series
 
 
@@ -49,21 +49,6 @@ class SigmaForm:
         lv = _checked_levels("sigma", self.levels, range(self.truncation + 1),
                              lambda m: (k2,) * (m + 1) + (v, v))
         object.__setattr__(self, "levels", lv)
-
-    def level(self, m: int) -> np.ndarray:
-        if m > self.truncation:
-            raise TruncationExceeded(
-                f"sigma level {m} requested, stored up to {self.truncation}"
-            )
-        return self.levels[m]
-
-    def eval_coeffs(self, coeffs) -> np.ndarray:
-        """Value on the word c0 X c1 X ... X c_m given its m+1 coefficients."""
-        coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-        t = self.level(len(coeffs) - 1)
-        for c in coeffs:
-            t = np.tensordot(c.reshape(-1), t, axes=([0], [0]))
-        return t
 
     @classmethod
     def from_bordered(cls, mf: MomentFunctional, values_in: str = "D") -> "SigmaForm":
@@ -96,21 +81,22 @@ def word_family(k: int, lengths) -> list:
     return [w for j in lengths for w in product(range(k * k), repeat=j)]
 
 
-def word_pairing(levels: dict, left: tuple, right: tuple, k: int, shift: int = 0):
+def word_pairing(levels: dict, left: tuple, right: tuple, k: int):
     """Value of (word left)^* (word right), or None where it vanishes.
 
     The adjoint of left meets right in the middle at u0^* v0 of their first
     letters, which is the unit e_{b0 b1} when both letters share the row a
     and zero otherwise.  The product is the stored word with the reversed
     adjoint tail of left, that middle unit, and the tail of right as its
-    slots, read from level len(left) + len(right) - shift: shift 0 for
-    moments, 2 for sigma forms.  A missing level raises TruncationExceeded.
+    slots, read from level len(left) + len(right) of a table of n-letter
+    words at level n: moments, or a Fock side's cumulant table with sigma
+    shifted up by 2.  A missing level raises TruncationExceeded.
     """
     a0, b0 = divmod(left[0], k)
     a1, b1 = divmod(right[0], k)
     if a0 != a1:
         return None
-    n = len(left) + len(right) - shift
+    n = len(left) + len(right)
     if n not in levels:
         raise TruncationExceeded(f"pairing needs level {n}, stored up to {max(levels)}")
     idx = tuple(adjoint_unit(u, k) for u in reversed(left[1:])) + (b0 * k + b1,) + right[1:]
@@ -147,12 +133,12 @@ def hermitian_gram(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _word_blocks(blocks: np.ndarray, levels: dict, words: list, rows, k: int, shift: int):
-    """Write the pairing block of words i and j into blocks[rows[i], rows[j]];
-    blocks where the pairing vanishes are left as they are."""
+def _word_blocks(blocks: np.ndarray, levels: dict, words: list, rows, k: int):
+    """Write word_pairing of words i and j in the table levels into
+    blocks[rows[i], rows[j]]; blocks where it vanishes are left as they are."""
     for i, wi in zip(rows, words):
         for j, wj in zip(rows, words):
-            val = word_pairing(levels, wi, wj, k, shift)
+            val = word_pairing(levels, wi, wj, k)
             if val is not None:
                 blocks[i, j] = val
 
@@ -178,7 +164,7 @@ def gram(phi: MomentFunctional, degree: int, no_free_term: bool = True):
     words = word_family(k, range(1, degree + 1))
     stored = {n: phi.raw(n) for n in range(1, 2 * degree + 1)}
     mat, blocks = gram_arrays(nf, phi.pair.d)
-    _word_blocks(blocks, stored, words, range(len(consts), nf), k, 0)
+    _word_blocks(blocks, stored, words, range(len(consts), nf), k)
     eunits = phi.pair.embedded_units
     for i, u in enumerate(consts):
         a0, b0 = divmod(u, k)
@@ -292,19 +278,18 @@ def certify(kind: str, data, degree: int, tol: float = DEFAULT_TOL) -> Certifica
     return _certify_families(kind, families(kind, data), degree, tol)
 
 
-def family_from_levy_hincin(kind, alpha, sigma, truncation=None) -> CumulantFamily:
-    """Rebuild the cumulant family of the divisible law with data (alpha,
-    sigma); D-valued data is shared, not copied."""
+def family_from_levy_hincin(kind, alpha, sigma) -> CumulantFamily:
+    """The cumulant family of the divisible law with data (alpha, sigma):
+    alpha, then sigma level m at m + 2, B values embedded and D values
+    shared.  Free data needs a B-valued sigma (DimensionMismatch)."""
+    if values_in(kind) == "B" and sigma.values_in != "B":
+        raise DimensionMismatch(f"{kind} Levy-Hincin data needs a B-valued sigma form")
     pair = sigma.pair
-    trunc = sigma.truncation + 2
-    if truncation is not None:
-        trunc = min(truncation, trunc)
     alpha = np.asarray(alpha, dtype=complex)
     levels = {1: pair.embed(alpha) if values_in(kind) == "B" else alpha}
-    for n in range(2, trunc + 1):
-        lev = sigma.levels[n - 2]
-        levels[n] = pair.embed_tensor(lev) if sigma.values_in == "B" else lev
-    return CumulantFamily(kind=kind, pair=pair, truncation=trunc, levels=levels)
+    for m, lev in sigma.levels.items():
+        levels[m + 2] = pair.embed_tensor(lev) if sigma.values_in == "B" else lev
+    return CumulantFamily(kind=kind, pair=pair, truncation=sigma.truncation + 2, levels=levels)
 
 
 def certify_levy_hincin(kind: str, alpha, sigma: SigmaForm) -> Certificate:
@@ -339,11 +324,11 @@ def levy_hincin_extract(kind: str, data, tol: float = DEFAULT_TOL):
                 certificate=cert,
             )
     pair, where = fam.pair, values_in(kind)
+    levels = {m: fam.levels[m + 2] for m in range(fam.truncation - 1)}
+    alpha = fam.levels[1]
     if where == "B":
-        alpha, pull = pair.pullback(fam.levels[1]), pair.pullback_tensor
-    else:
-        alpha, pull = fam.levels[1].copy(), np.copy
-    levels = {m: pull(fam.levels[m + 2]) for m in range(fam.truncation - 1)}
+        alpha = pair.pullback(alpha)
+        levels = {m: pair.pullback_tensor(lev) for m, lev in levels.items()}
     sig = SigmaForm(pair=pair, values_in=where, truncation=fam.truncation - 2, levels=levels)
     return alpha, sig
 

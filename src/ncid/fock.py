@@ -32,6 +32,9 @@ fock_basis lists the keys shape by shape, lexicographic in the letters
 within a shape, so operator_matrix applies an operator once per shape, to
 the identity on its keys, and gram_matrix fills one block per shape pair.
 
+A component is its cumulant tables, level n holding the values on n-letter
+words: a boolean law's moments, a free side's kb and a c-free side's ckd.
+
 Each builder gates its data on a certificate of ncid.certify (certify for a
 boolean law, certify_levy_hincin for a free or c-free side): data gets a model
 exactly when its certificate passes, and GramNotPSD otherwise.
@@ -110,47 +113,43 @@ def _components(items) -> list:
 
 
 def _model(kind: str, pair: AlgebraPair, comps: list, depth) -> FockModel:
+    """A word of degree n reads level n of every table, so the depth is at
+    most, and by default, the least top level (TruncationExceeded past it)."""
+    top = min(max(table) for c in comps for table in c.values())
     if depth is None:
-        depth = min(c["sigma"].truncation for c in comps) + 2
+        depth = top
+    elif depth > top:
+        raise TruncationExceeded(f"{kind} model depth {depth} exceeds the truncation {top}")
     scales = tuple({"ann": 1.0, "cre": 1.0, "gauge": 1.0} for _ in comps)
     return FockModel(kind=kind, pair=pair, depth=depth, components=tuple(comps), scales=scales)
 
 
-def _side(pair: AlgebraPair, alpha, sigma: SigmaForm, kind: str, what: str):
-    """Check one (alpha, sigma) side of a free or c-free component (its
-    certificate checks alpha's shape); return alpha and its annihilation
-    table: alpha at 1, sigma level m at m + 2."""
+def _side(pair: AlgebraPair, alpha, sigma: SigmaForm, kind: str, what: str) -> dict:
+    """One (alpha, sigma) side of a free or c-free component, gated on its
+    certificate (which checks alpha's shape), as its cumulant table: alpha
+    at level 1 and sigma level m at m + 2, the Levy-Hincin shift."""
     if sigma.values_in != values_in(kind):
         raise DimensionMismatch(f"{what} sigma form must be {values_in(kind)}-valued")
     if not pair.same_pair(sigma.pair):
         raise DimensionMismatch("model components over different pairs")
     _gate(certify_levy_hincin(kind, alpha, sigma), f"{what} data")
-    alpha = require_hermitian(alpha)
-    table = {1: alpha}
-    table.update((m + 2, sigma.levels[m]) for m in range(sigma.truncation + 1))
-    return alpha, table
+    table = {1: require_hermitian(alpha)}
+    table.update((m + 2, lev) for m, lev in sigma.levels.items())
+    return table
 
 
 def boolean_sum_model(mus, depth: int | None = None) -> FockModel:
-    """Boolean model of one or more laws; its depth is at most the smallest
-    truncation, since deeper words would need moments that are not stored."""
+    """Boolean model of one or more laws, each component its moment levels."""
     mus = _components(mus)
     pair = mus[0].pair
-    for mu in mus[1:]:
-        if not pair.same_pair(mu.pair):
-            raise DimensionMismatch("model components over different pairs")
-    trunc = min(mu.truncation for mu in mus)
-    if depth is None:
-        depth = trunc
-    elif depth > trunc:
-        raise TruncationExceeded(f"boolean model depth {depth} exceeds the truncation {trunc}")
-    comps = []
+    if not all(pair.same_pair(mu.pair) for mu in mus):
+        raise DimensionMismatch("model components over different pairs")
+    model = _model("boolean", pair, [{"levels": dict(mu.levels)} for mu in mus], depth)
     for mu in mus:
-        check_deg = min(depth, mu.truncation // 2)
+        check_deg = min(model.depth, mu.truncation // 2)
         if check_deg >= 1:
             _gate(certify("boolean", mu, check_deg), "input law")
-        comps.append({"levels": dict(mu.levels), "trunc": mu.truncation})
-    return _model("boolean", pair, comps, depth)
+    return model
 
 
 def build_boolean(mu: MomentFunctional, depth: int | None = None) -> FockModel:
@@ -160,10 +159,7 @@ def build_boolean(mu: MomentFunctional, depth: int | None = None) -> FockModel:
 def free_sum_model(datas, depth: int | None = None) -> FockModel:
     datas = _components(datas)
     pair = datas[0][1].pair
-    comps = []
-    for alpha, sigma in datas:
-        alpha, kb = _side(pair, alpha, sigma, "free", "free model")
-        comps.append({"alpha": alpha, "kb": kb, "sigma": sigma})
+    comps = [{"kb": _side(pair, alpha, sigma, "free", "free model")} for alpha, sigma in datas]
     return _model("free", pair, comps, depth)
 
 
@@ -172,15 +168,14 @@ def build_free(alpha, sigma: SigmaForm, depth: int | None = None) -> FockModel:
 
 
 def cfree_sum_model(datas, depth: int | None = None) -> FockModel:
-    """c-free model: the H side is stored under the free model's keys
-    (alpha, kb, sigma), the K leg under alpha2 and ckd."""
+    """c-free model: the free table kb on the H side, ckd on the K leg."""
     datas = _components(datas)
     pair = datas[0][1].pair
-    comps = []
-    for alpha1, sigma1, alpha2, sigma2 in datas:
-        alpha1, kb = _side(pair, alpha1, sigma1, "free", "c-free free-side")
-        alpha2, ckd = _side(pair, alpha2, sigma2, "cfree", "c-free c-free-side")
-        comps.append({"alpha": alpha1, "kb": kb, "sigma": sigma1, "alpha2": alpha2, "ckd": ckd})
+    comps = [
+        {"kb": _side(pair, alpha1, sigma1, "free", "c-free free-side"),
+         "ckd": _side(pair, alpha2, sigma2, "cfree", "c-free c-free-side")}
+        for alpha1, sigma1, alpha2, sigma2 in datas
+    ]
     return _model("cfree", pair, comps, depth)
 
 
@@ -292,18 +287,19 @@ def fock_basis(model: FockModel, cap: int):
 # vector operations
 
 
-def vacuum_vector(model: FockModel, state: str = "phi") -> dict:
+def _vacuum(model: FockModel, state: str):
+    """The shape of the vacuum that carries this state."""
     if model.kind == "cfree":
-        if state == "phi":
-            return {("D", ()): np.eye(model.pair.d, dtype=complex)}
-        if state == "theta":
-            return {("O",): np.eye(model.pair.d, dtype=complex)}
-        raise NCIDError(f"unknown state {state!r}")
+        if state not in ("phi", "theta"):
+            raise NCIDError(f"unknown state {state!r}")
+        return ("D", ()) if state == "phi" else ("O",)
     if state != "phi":
         raise NCIDError(f"{model.kind} models only carry the phi state")
-    if model.kind == "boolean":
-        return {(): np.eye(model.pair.d, dtype=complex)}
-    return {(): np.eye(model.pair.k, dtype=complex)}
+    return ()
+
+
+def vacuum_vector(model: FockModel, state: str = "phi") -> dict:
+    return {_vacuum(model, state): np.eye(_coord_dim(model), dtype=complex)}
 
 
 def _prepend(k: int, arr: np.ndarray) -> np.ndarray:
@@ -366,12 +362,12 @@ def _boolean_terms(model, name, shape, arr, t):
         return
     if name == "transfer" and j < model.depth:
         yield (t, j + 1), _prepend(k, arr)
-    if j > comp["trunc"]:
+    if j not in comp["levels"]:
         return
     if name == "annihilate":
         # centered return mu(Xw) - mu(X) mu(w)
         q = -(comp["levels"][1] @ _word_means(comp, model.pair, j))
-        if j < comp["trunc"]:
+        if j + 1 in comp["levels"]:
             q += comp["levels"][j + 1].reshape(q.shape)
         yield (), _lmul(q, arr, j)
     elif name == "transfer":
@@ -395,7 +391,7 @@ def _h_terms(model, name, shape, arr, t):
             yield wrap(((t, 1),) + hs), _prepend(k, arr)
     elif name == "gauge":
         # left multiplication by alpha on the whole module
-        yield shape, _lmul(_b_table(model, shape, comp["alpha"][None]), arr)
+        yield shape, _lmul(_b_table(model, shape, comp["kb"][1][None]), arr)
     elif hs and hs[0][0] == t:
         j = hs[0][1]
         if name == "annihilate":
@@ -415,7 +411,7 @@ def _k_terms(model, name, shape, arr, t):
         if name == "k_create" and model.depth >= 1:
             yield ("K", (), (t, 1)), _prepend(k, arr)
         elif name == "gauge_k":
-            yield shape, _lmul(comp["alpha2"][None], arr)
+            yield shape, _lmul(comp["ckd"][1][None], arr)
     elif shape[0] == "K" and not shape[1] and shape[2][0] == t:
         j = shape[2][1]
         if name == "k_annihilate" and j + 1 in comp["ckd"]:
@@ -455,18 +451,11 @@ def apply_generator(model: FockModel, vec: dict, component=None) -> dict:
 
 
 def extract_state(model: FockModel, vec: dict, state: str = "phi") -> np.ndarray:
-    d = model.pair.d
-    if model.kind == "cfree":
-        if state not in ("phi", "theta"):
-            raise NCIDError(f"unknown state {state!r}")
-        return vec.get(("D", ()) if state == "phi" else ("O",), np.zeros((d, d), dtype=complex))
-    if state != "phi":
-        raise NCIDError(f"{model.kind} models only carry the phi state")
-    if model.kind == "free":
-        c = vec.get((), np.zeros((model.pair.k, model.pair.k), dtype=complex))
-        return model.pair.embed(c)
-    # boolean: centered labels are orthogonal to the vacuum
-    return vec.get((), np.zeros((d, d), dtype=complex))
+    """The state's value: the vacuum coordinate, in D (boolean centered
+    labels are orthogonal to the vacuum)."""
+    v = _coord_dim(model)
+    value = vec.get(_vacuum(model, state), np.zeros((v, v), dtype=complex))
+    return model.pair.embed(value) if model.kind == "free" else value
 
 
 def model_moment(model: FockModel, bs, state: str = "phi", components=None):
@@ -549,7 +538,7 @@ def gram_matrix(model: FockModel, cap: int):
                    for i in range(start, start + k ** (2 * shape[1]))]
             if not idx:
                 continue
-            _word_blocks(blocks, comp["levels"], words, idx, k, 0)
+            _word_blocks(blocks, comp["levels"], words, idx, k)
             means = np.concatenate([_word_means(comp, model.pair, j) for j in range(1, cap + 1)])
             blocks[np.ix_(idx, idx)] -= np.einsum("iba,jbc->ijac", means.conj(), means)
         return hermitian_gram(mat), fock_basis(model, cap)
@@ -557,7 +546,7 @@ def gram_matrix(model: FockModel, cap: int):
     pairing = []
     for c in model.components:
         pairing.append(np.zeros((len(words), len(words), k, k), dtype=complex))
-        _word_blocks(pairing[-1], c["sigma"].levels, words, range(len(words)), k, 2)
+        _word_blocks(pairing[-1], c["kb"], words, range(len(words)), k)
     # the words of length j are rows ends[j - 1] to ends[j] of the pairing
     ends = np.cumsum([k ** (2 * j) for j in range(cap + 1)]) - 1
     at = dict(zip(shapes, starts))

@@ -8,13 +8,14 @@ is accepted too, and entries that are not finite floats are rejected.
 Output is streamed: save_path and the CLI write a document in pieces of at
 most one tensor row, never holding its whole text, and the bytes are those
 dumps returns.  A value that cannot be written raises before the first byte.
-Input is decoded from the file's bytes: a tensor value in the exact layout
-dumps writes is checked on its skeleton and parsed in comma-aligned pieces
-of at most _PIECE_BYTES, straight into its float array, so no copy or float
-list of a whole tensor is made.  Everything else (NaN or Infinity anywhere,
-a value in another layout, a number json.loads rejects) goes through
-json.loads of the UTF-8 text.  Input may use any JSON whitespace; the
-values read and the errors raised do not depend on the layout.
+Input is decoded from the file's bytes: a tensor value in the layout dumps
+writes, with or without JSON whitespace between its tokens (as a
+pretty-printer writes it), is checked on its skeleton and parsed in
+comma-aligned pieces of at most _PIECE_BYTES, straight into its float array,
+so no copy or float list of a whole tensor is made.  Everything else (NaN or
+Infinity anywhere, a value in another layout, a number json.loads rejects)
+goes through json.loads of the UTF-8 text.  The values read and the errors
+raised do not depend on the whitespace.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .cumulants import KINDS, CumulantFamily, values_in
 from .distribution import MomentFunctional, level_shape
 from .errors import DimensionMismatch, NCIDError
 
-# A member value made only of brackets, commas and number characters.
-_TENSOR_VALUE = re.compile(rb":(\[[-+.0-9eE,\[\]]*\])")
-_NUMBER_BYTES = b"-+.0123456789eE"
+# A member value made only of brackets, commas, number bytes and whitespace.
+_TENSOR_VALUE = re.compile(rb":[ \t\n\r]*(\[[-+.0-9eE,\[\] \t\n\r]*\])")
+_NUMBER_BYTES = b"-+.0123456789eE \t\n\r"  # and whitespace, which the skeleton drops
 _PIECE_BYTES = 1 << 16  # the most bytes of a tensor value decoded at once
 _MAX_AXES = 64  # numpy's limit
 
@@ -296,8 +297,8 @@ def _pair_shape(skeleton: str):
 def _value_shape(raw: bytes, start: int, end: int):
     """The shape S if raw[start:end] is laid out as _layout(S, number), or None.
 
-    The skeleton (the value without its number characters) is built one
-    piece of at most _PIECE_BYTES at a time.
+    The skeleton (the value without its number characters and whitespace)
+    is built one piece of at most _PIECE_BYTES at a time.
     """
     skeleton = b"".join(
         raw[i : min(i + _PIECE_BYTES, end)].translate(None, _NUMBER_BYTES)
@@ -327,7 +328,9 @@ def _read_numbers(raw: bytes, start: int, end: int, shape):
                 cut = end if cut < 0 else cut
         piece = raw[start:cut]
         try:
-            parts = np.array(json.loads(b"[" + piece.translate(None, b"[]") + b"]"), dtype=float)
+            # brackets become spaces: a number may not run on past one
+            numbers = b"[" + piece.translate(bytes.maketrans(b"[]", b"  ")) + b"]"
+            parts = np.array(json.loads(numbers), dtype=float)
         except (ValueError, OverflowError):  # not JSON numbers, or an integer beyond float range
             return None
         if len(parts) != piece.count(b",") + 1:
@@ -344,9 +347,9 @@ def _text(raw: bytes) -> str:
 
 
 def _loads(raw: bytes):
-    """json.loads of the file's text, except that each member value written
-    exactly as _layout lays out a tensor becomes a float array of shape
-    S + (2,).
+    """json.loads of the file's text, except that each member value laid
+    out as _layout lays out a tensor, JSON whitespace aside, becomes a float
+    array of shape S + (2,).
 
     Such a value is checked and parsed from the bytes in pieces of at most
     _PIECE_BYTES (see _read_numbers), which gives the floats json.loads

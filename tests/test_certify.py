@@ -22,7 +22,13 @@ from ncid import certify as certify_module, cumulants
 from ncid.convolution import convolve, root
 from ncid.cumulants import family_of, free_from_moments, functional_of
 from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
-from ncid.errors import CertificateFailed, NCIDError, TooLarge, TruncationExceeded
+from ncid.errors import (
+    CertificateFailed,
+    DimensionMismatch,
+    NCIDError,
+    TooLarge,
+    TruncationExceeded,
+)
 from ncid.ncfunctions import NilpotentPoint, eval_B, eval_R, eval_cR
 
 from conftest import (
@@ -224,6 +230,23 @@ def test_bordered_sigma_form_passes_its_certificate(mu22):
         rho = functional_of(kind, family_from_levy_hincin(kind, alpha, sigma))
         with pytest.raises(TruncationExceeded):
             gram(rho, cert.degree + 1)
+
+
+def test_free_levy_hincin_data_needs_a_b_valued_sigma(mu24):
+    # a D-valued sigma is no free data: its family's level 3 is not in the
+    # embedded copy of B, yet its Gram passes; every reader of free data
+    # refuses it, while boolean and c-free data may embed a B-valued sigma
+    alpha, sigma_d = np.eye(2), SigmaForm.from_bordered(mu24, values_in="D")
+    point = np.triu(np.ones((3, 3)), 1)[:, :, None, None] * np.eye(2)
+    for read in (family_from_levy_hincin, certify_levy_hincin):
+        with pytest.raises(DimensionMismatch, match="B-valued sigma"):
+            read("free", alpha, sigma_d)
+    with pytest.raises(DimensionMismatch, match="B-valued sigma"):
+        levy_hincin_reconstruct("free", alpha, sigma_d, point)
+    sigma_b = SigmaForm.from_bordered(divisible_free(61, mu24.pair), values_in="B")
+    for kind in ("boolean", "cfree"):
+        fam = family_from_levy_hincin(kind, np.eye(4), sigma_b)
+        assert np.array_equal(fam.levels[3], mu24.pair.embed_tensor(sigma_b.levels[1]))
 
 
 def test_boolean_extract_always_succeeds(mu22, mu24):

@@ -228,14 +228,40 @@ def test_sum_models_need_a_component():
             build([])
 
 
-def test_boolean_depth_is_bounded_by_the_truncation(mu22, nu22):
+def test_model_depth_is_bounded_by_the_truncation(mu22, pair22):
     # mu22 has truncation 6: degree-7 words would read moments never stored
-    with pytest.raises(TruncationExceeded):
+    with pytest.raises(TruncationExceeded, match="boolean model depth 7 exceeds the truncation 6"):
         build_boolean(mu22, depth=7)
     short = generate_realizable(8, mu22.pair, 4, ambient=8)
     with pytest.raises(TruncationExceeded):
         boolean_sum_model([mu22, short], depth=5)
     assert boolean_sum_model([mu22, short]).depth == 4
+    # Levy-Hincin data with sigma to level 4 fixes its law to degree 6
+    a1, s1 = free_levy_hincin_data(50, pair22, 6)
+    a2, s2 = cfree_levy_hincin_data(52, pair22, 6)
+    assert build_free(a1, s1).depth == build_cfree(a1, s1, a2, s2).depth == 6
+    with pytest.raises(TruncationExceeded, match="free model depth 7 exceeds the truncation 6"):
+        build_free(a1, s1, depth=7)
+    with pytest.raises(TruncationExceeded, match="cfree model depth 9 exceeds the truncation 6"):
+        build_cfree(a1, s1, a2, s2, depth=9)
+    with pytest.raises(TruncationExceeded):
+        free_sum_model([(a1, s1), free_levy_hincin_data(51, pair22, 4)], depth=5)
+
+
+def test_cfree_depth_is_that_of_the_shorter_side(pair22):
+    # sigma2 stops at level 2, so the c-free cumulants, and the theta law,
+    # are fixed only to degree 4 although the free side reaches degree 6
+    a1, s1 = free_levy_hincin_data(50, pair22, 6)
+    a2, s2 = cfree_levy_hincin_data(52, pair22, 4)
+    model = build_cfree(a1, s1, a2, s2)
+    assert model.depth == s2.truncation + 2 == 4
+    bs = rand_words(11, 2, 5)
+    nu = moments_from_free(family_from_levy_hincin("free", a1, s1))
+    mu = moments_from_cfree(family_from_levy_hincin("cfree", a2, s2), nu)
+    assert relerr(model_moment(model, bs[:4], state="theta"), mu.eval_word(bs[:4])) < 1e-10
+    for state in ("phi", "theta"):
+        with pytest.raises(DepthExceeded):
+            model_moment(model, bs, state=state)
 
 
 def test_truncation_exact_at_extra_depth(mu22, pair22):
@@ -518,7 +544,7 @@ def free_pairing_reference(model, ka: tuple, kb: tuple) -> np.ndarray:
     (ta, wa), (tb, wb) = ka[0], kb[0]
     val = None
     if ta == tb:
-        val = word_pairing(model.components[ta]["sigma"].levels, wa, wb, k, shift=2)
+        val = word_pairing(model.components[ta]["kb"], wa, wb, k)
     if val is None:
         return np.zeros((k, k), dtype=complex)
     if len(kb) == 1:

@@ -78,12 +78,49 @@ def test_cli_digest_smoke():
     assert lines[-1][1:] == ["0", "selftest seed 0"]
 
 
+def test_lib_digest_smoke():
+    import importlib.util
+
+    import numpy as np
+
+    out = run_script("lib_digest.py", "--src", str(ROOT / "src"), "--trunc", "4")
+    assert out.returncode == 0, out.stderr
+    lines = [line.split(" ", 1) for line in out.stdout.splitlines()]
+    assert all(len(digest) == 64 for digest, _ in lines)
+    digests = dict((label, digest) for digest, label in lines)
+    assert len(digests) == len(lines)  # one line per output
+    for pair in ("(2, 2)", "(2, 4)"):
+        for step in (
+            "boolean model, two components: phi moment of degree 2, tagged",
+            "cfree model, one component: theta moment of degree 4",
+            "free model, one component: annihilate of component 0 at cap 2",
+            "cfree model, two components: k_insert of component 1 at cap 1",
+            "boolean model, one component: Gram at cap 2",
+            "free model, two components: Gram at cap 2",
+            "gram of mu at degree 2, no_free_term False",
+            "certify cfree of the divisible law at degree 2",
+            "free Levy-Hincin certificate",
+            "cfree extract",
+            "boolean reconstruct at a 4 x 4 point",
+        ):
+            assert f"(k, d) = {pair}: {step}" in digests
+    # the digests are of the outputs: a model's depth, and the empty word
+    spec = importlib.util.spec_from_file_location("lib_digest", ROOT / "scripts" / "lib_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert digests["(k, d) = (2, 4): free model, one component: depth"] == script.digest(4)
+    assert digests["(k, d) = (2, 4): boolean model, one component: phi moment of degree 0"] == (
+        script.digest(np.eye(4, dtype=complex)))
+    assert len(set(digests.values())) > len(digests) // 2
+
+
 @pytest.mark.parametrize(
     "name,summary",
     [
         ("divisibility_sweep.py", "Sweep seeded realizable laws"),
         ("root_error_scan.py", "Scan convolution-root errors"),
         ("cli_digest.py", "Print one sha256 per CLI output"),
+        ("lib_digest.py", "Print one sha256 per library output"),
     ],
 )
 def test_script_help_shows_the_docstring(name, summary):
