@@ -14,7 +14,11 @@ mu_c over nu.  From them it digests:
   certify of each kind at every degree, on divisible and on random data;
 - certify_levy_hincin of each kind's data, levy_hincin_extract of each kind
   (a refused extraction gives its error), and levy_hincin_reconstruct of the
-  extracted data at two nilpotent points.
+  extracted data at two nilpotent points;
+- the report of every identity check at orders 1 to 4 and seeds 0 and 1:
+  check_identity B of mu, R of nu and of mu, cR of (mu_c, nu),
+  check_cauchy_relation, check_nc_function_axioms and tensor_compatibility
+  (n = 2) of mu.
 
 Each line reads `<sha256> <label>`.  An array is digested with its dtype and
 shape, a certificate as its JSON, and an output that raises as its error
@@ -28,6 +32,7 @@ type and message.  Run it once per source tree and compare the listings:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib
 import sys
@@ -71,7 +76,8 @@ def digest(value) -> str:
 def outputs(k: int, d: int, trunc: int):
     """(label, function, arguments) of every digested output at the pair."""
     # by module name: the ncid package also exports a function called certify
-    cert, fock = (importlib.import_module(f"ncid.{name}") for name in ("certify", "fock"))
+    cert, fock, ncf = (
+        importlib.import_module(f"ncid.{name}") for name in ("certify", "fock", "ncfunctions"))
     from ncid.algebra import AlgebraPair
     from ncid.cumulants import moments_from_cfree, moments_from_free
     from ncid.distribution import generate_realizable
@@ -157,6 +163,21 @@ def outputs(k: int, d: int, trunc: int):
             alpha, sigma = cert.levy_hincin_extract(kind, data)
             yield f"{kind} reconstruct at a {m} x {m} point", cert.levy_hincin_reconstruct, (
                 kind, alpha, sigma, point)
+
+    checks = (
+        ("check B of mu", ncf.check_identity, ("B", mu)),
+        ("check R of nu", ncf.check_identity, ("R", nu)),
+        ("check R of mu", ncf.check_identity, ("R", mu)),
+        ("check cR of (mu_c, nu)", ncf.check_identity, ("cR", mu_c, nu)),
+        ("check G of mu", ncf.check_cauchy_relation, (mu,)),
+        ("check axioms of mu", ncf.check_nc_function_axioms, (mu,)),
+        ("check tensor of mu", ncf.tensor_compatibility, (mu, 2)),
+    )
+    for label, check, check_args in checks:
+        for order in range(1, 5):
+            for seed in (0, 1):
+                yield f"{label} at order {order}, seed {seed}", functools.partial(
+                    check, order=order, seed=seed), check_args
 
 
 def main() -> None:

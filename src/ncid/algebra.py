@@ -72,9 +72,9 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def block_matrix(blocks: np.ndarray) -> np.ndarray:
-    """(f, g, v, w) array of blocks as the (f v, g w) matrix they tile."""
-    f, g, v, w = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(f * v, g * w)
+    """(..., f, g, v, w) array of blocks as the (..., f v, g w) matrices they tile."""
+    f, g, v, w = blocks.shape[-4:]
+    return blocks.swapaxes(-3, -2).reshape(blocks.shape[:-4] + (f * v, g * w))
 
 
 def check_pair_size(k: int, d: int) -> None:

@@ -35,10 +35,10 @@ import argparse  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from .algebra import DEFAULT_TOL, AlgebraPair  # noqa: E402
+from .algebra import DEFAULT_TOL, MAX_GENERATE_BYTES, AlgebraPair  # noqa: E402
 from .cumulants import KINDS, family_of, is_pair, moments_of  # noqa: E402
 from .distribution import generate_realizable, scalar_from_moments, seeded_rng  # noqa: E402
-from .errors import CertificateFailed, NCIDError  # noqa: E402
+from .errors import CertificateFailed, NCIDError, TooLarge  # noqa: E402
 from .serialize import (  # noqa: E402
     _emit as emit_json,
     extraction_to_json,
@@ -155,6 +155,15 @@ def _run_gen(args) -> int:
     else:
         pair = AlgebraPair.block_diagonal(args.k, args.d)
     ambient = args.m if args.m is not None else 2 * args.d
+    # Refuse before computing a law whose text would pass the byte budget,
+    # estimated at the longest entry text: [re,im] of two 24-byte '%.17g'
+    # floats and a comma, for each level and embedding entry.  Above 64
+    # levels a k >= 2 law passes any budget.
+    k2, n = args.k * args.k, max(args.trunc, 0)
+    words = n if k2 == 1 else (k2 ** min(n, 64) - 1) // (k2 - 1)
+    need = 52 * args.d**2 * (words + k2)
+    if need > MAX_GENERATE_BYTES:
+        raise TooLarge(f"the law's JSON text may reach {need} bytes, above {MAX_GENERATE_BYTES}")
     mf = generate_realizable(args.seed, pair, args.trunc, ambient)
     _emit(functional_to_json(mf))
     return 0

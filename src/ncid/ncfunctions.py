@@ -8,7 +8,9 @@ reconstruction and the identity checks: the terminating sum of id_m tensor
 levels[p] applied to (X c)^p, each term contracted slot by slot by one
 kernel, _path_sum.  The functional equations give B, R and cR from M alone,
 with no cumulant tensors: B = 1 - M^(-1), R(c) = M(b) - 1 and
-cR(c) = (1 - M_mu(b)^(-1)) M_nu(b), where b M_nu(b) = c.
+cR(c) = (1 - M_mu(b)^(-1)) M_nu(b), where b M_nu(b) = c.  An nc function
+respects direct sums, so the checks draw all their random points first and
+evaluate them together: _path_sum takes a leading axis of points.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import AlgebraPair, block_matrix
+from .algebra import MAX_GENERATE_BYTES, AlgebraPair, block_matrix
 from .cumulants import family_of
 from .distribution import MomentFunctional, _truncated, level_shape, seeded_rng
 from .errors import (
@@ -54,13 +56,7 @@ class NilpotentPoint:
 
     @classmethod
     def random(cls, rng, m: int, k: int, scale: float = 1.0) -> "NilpotentPoint":
-        entries = np.zeros((m, m, k, k), dtype=complex)
-        for i in range(m):
-            for j in range(i + 1, m):
-                entries[i, j] = scale * (
-                    rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-                )
-        return cls(m=m, k=k, entries=entries)
+        return cls(m=m, k=k, entries=_random_entries(rng, 1, m, k, scale)[0])
 
     @property
     def index(self) -> int:
@@ -71,6 +67,18 @@ class NilpotentPoint:
                 return r
             power = np.einsum("ilab,ljbc->ijac", power, self.entries)
         return self.m + 1
+
+
+def _random_entries(rng, count: int, m: int, k: int, scale: float) -> np.ndarray:
+    """(count, m, m, k, k) entries of `count` random strictly upper points,
+    from one draw that reads the generator as `count` calls of
+    NilpotentPoint.random do: each upper block, row by row, its real and
+    then its imaginary (k, k) part."""
+    rows, cols = np.triu_indices(m, 1)
+    z = rng.standard_normal((max(count, 0), len(rows), 2, k, k))
+    entries = np.zeros((max(count, 0), m, m, k, k), dtype=complex)
+    entries[:, rows, cols] = scale * (z[:, :, 0] + 1j * z[:, :, 1])
+    return entries
 
 
 def triangular_probe(coeffs) -> NilpotentPoint:
@@ -98,44 +106,52 @@ def _point_entries(point, k: int) -> np.ndarray:
 
 
 def _path_sum(level: np.ndarray, pair: AlgebraPair, coeff: np.ndarray) -> np.ndarray:
-    """id_m tensor mu applied to (X coeff)^p, as an (m, m, d, d) block matrix.
+    """id_m tensor mu applied to (X coeff[q])^p for each of P points, as a
+    (P, m, m, d, d) stack of block matrices.
 
-    level holds the (k2,)*(p-1) + (d, d) values of the words with p letters;
-    block (i, j) sums the value of X coeff[t0, t1] X ... X coeff[t_{p-1}, tp]
+    coeff holds the (P, m, m, k, k) entries of the points and level the
+    (k2,)*(p-1) + (d, d) values of the words with p letters; block (i, j) of
+    point q sums the value of X coeff[q, t0, t1] X ... X coeff[q, t_{p-1}, tp]
     over all index paths i = t0, t1, ..., tp = j, the trailing edge
     multiplying on the right through the embedding.  The level's slots are
-    contracted one at a time against the (m, m, k2) point, each as one
-    matrix product, one start row at a time, so no intermediate exceeds
-    m * k2**(p-2) * d**2 entries.  Zero blocks drop their paths: a strict
-    point sums strictly increasing paths, an upper triangular one with unit
-    diagonal the non-decreasing ones.
+    contracted one at a time against the points, each as one matrix product
+    per point, one start row at a time; the first slot broadcasts the shared
+    level over the points, so it is never copied.  No intermediate exceeds
+    P * m * k2**(p-2) * d**2 entries: callers that batch many points split
+    them into groups that fit the byte budget (_worst).  Zero blocks drop
+    their paths: a strict point sums strictly increasing paths, an upper
+    triangular one with unit diagonal the non-decreasing ones.
     """
-    m = coeff.shape[0]
-    # steps[t, s, u] = entry u of coeff[s, t], so one slot is one matmul
-    steps = coeff.reshape(m, m, -1).transpose(1, 0, 2)
+    count, m = coeff.shape[:2]
+    # steps[q, t, s, u] = entry u of coeff[q, s, t], so one slot is one matmul.
+    # Kept a view: each point's operands have the memory layout of a batch of
+    # one, so BLAS sums in the same order and every point gets the same bits.
+    steps = coeff.reshape(count, m, m, -1).transpose(0, 2, 1, 3)
     embedded = pair.embed_tensor(coeff)
-    out = np.empty((m, m, pair.d, pair.d), dtype=complex)
+    out = np.empty((count, m, m, pair.d, pair.d), dtype=complex)
     for i in range(m):
-        # t[s, ...]: the level with its leading slots summed over paths i -> s
-        t, rows = level[None], slice(i, i + 1)
+        # t[q, s, ...]: the level with its leading slots summed over the
+        # paths i -> s of point q; a leading axis of 1 while the level is shared
+        t, rows = level[None, None], slice(i, i + 1)
         for _ in range(level.ndim - 2):
-            step = steps[:, rows].reshape(m, -1)
-            t = (step @ t.reshape(step.shape[1], -1)).reshape((m,) + t.shape[2:])
+            step = steps[:, :, rows].reshape(count, m, -1)
+            t = (step @ t.reshape(len(t), step.shape[2], -1)).reshape((count, m) + t.shape[3:])
             rows = slice(None)
-        out[i] = np.einsum("sab,sjbc->jac", t, embedded[rows])
+        out[:, i] = np.einsum("...sab,...sjbc->...jac", t, embedded[:, rows])
     return out
 
 
 def _support_chain(entries: np.ndarray, stored: int) -> int:
-    """Longest chain of nonzero blocks of a point: the highest degree read.
+    """Longest chain of nonzero blocks of a point, or of a stack of points:
+    the highest degree read.
 
     Support adjacency has no cancellation, unlike powers of the point.
-    Raises TruncationExceeded when the chain is longer than `stored` levels,
-    and DimensionMismatch when the blocks form a cycle (a chain of m blocks
-    revisits an index), so the point is not nilpotent.
+    Raises TruncationExceeded when a chain is longer than `stored` levels,
+    and DimensionMismatch when the blocks of a point form a cycle (a chain
+    of m blocks revisits an index), so the point is not nilpotent.
     """
-    m = entries.shape[0]
-    adj = (np.abs(entries).max(axis=(2, 3)) > 0).astype(float)
+    m = entries.shape[-4]
+    adj = (np.abs(entries).max(axis=(-2, -1)) > 0).astype(float)
     longest, power = 0, adj
     while power.max(initial=0.0) > 0:
         longest += 1
@@ -147,23 +163,29 @@ def _support_chain(entries: np.ndarray, stored: int) -> int:
     return longest
 
 
+def _series(levels: dict, pair: AlgebraPair, entries: np.ndarray, include_identity: bool):
+    """eval_series at each of a (P, m, m, k, k) stack of points: P block
+    matrices (P, m, m, d, d), the sum running to the longest chain of any
+    point (the longer paths of the other points are exactly zero)."""
+    count, m = entries.shape[:2]
+    out = np.zeros((count, m, m, pair.d, pair.d), dtype=complex)
+    if include_identity:
+        out[:, range(m), range(m)] = np.eye(pair.d)
+    for p in range(1, _support_chain(entries, max(levels) if levels else 0) + 1):
+        out += _path_sum(levels[p], pair, entries)
+    return out
+
+
 def eval_series(levels: dict, pair: AlgebraPair, point, include_identity: bool):
     """Sum over p of the path sums of levels[p] at a nilpotent point.
 
     levels[p] holds the (k2,)**(p-1) + (d, d) value tensor of words with p
-    letters; see _path_sum.  Raises TruncationExceeded when the point's
-    support has a chain of nonzero blocks longer than the stored levels, and
-    DimensionMismatch when it has a cycle, so the point is not nilpotent.
+    letters; see _path_sum, which this calls with a batch of one point.
+    Raises TruncationExceeded when the point's support has a chain of
+    nonzero blocks longer than the stored levels, and DimensionMismatch when
+    it has a cycle, so the point is not nilpotent.
     """
-    entries = _point_entries(point, pair.k)
-    m, d = entries.shape[0], pair.d
-    out = np.zeros((m, m, d, d), dtype=complex)
-    if include_identity:
-        for i in range(m):
-            out[i, i] = np.eye(d)
-    for p in range(1, _support_chain(entries, max(levels) if levels else 0) + 1):
-        out += _path_sum(levels[p], pair, entries)
-    return out
+    return _series(levels, pair, _point_entries(point, pair.k)[None], include_identity)[0]
 
 
 def eval_M(mu: MomentFunctional, point):
@@ -172,7 +194,8 @@ def eval_M(mu: MomentFunctional, point):
 
 
 def _bprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ilab,ljbc->ijac", a, b)
+    """Product of (..., m, m, v, v) block matrices, point by point."""
+    return np.einsum("...ilab,...ljbc->...ijac", a, b)
 
 
 def _one_minus_inverse(blocks: np.ndarray) -> np.ndarray:
@@ -258,9 +281,35 @@ def extract_taylor(mu: MomentFunctional, coeffs, transform: str = "M"):
     return family_of(kind, _truncated(mu, len(coeffs))).evaluate(coeffs)
 
 
-def _rel_err(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(1.0, float(np.abs(lhs).max(initial=0.0)), float(np.abs(rhs).max(initial=0.0)))
-    return float(np.abs(lhs - rhs).max(initial=0.0)) / scale
+def _rel_err(lhs: np.ndarray, rhs: np.ndarray) -> list:
+    """Relative deviation of each point's value: the leading axis is the points."""
+    axes = tuple(range(1, lhs.ndim))
+
+    def top(a):
+        return np.abs(a).max(axis=axes, initial=0.0)
+
+    scale = np.maximum(1.0, np.maximum(top(lhs), top(rhs)))
+    return (top(lhs - rhs) / scale).tolist()
+
+
+def _worst(residuals, probes: int, m: int, pair: AlgebraPair, top: int, points: int = 1) -> float:
+    """The largest residual of the probes, residuals(group) giving those of
+    a slice of them, in the fewest groups whose arrays fit MAX_GENERATE_BYTES.
+
+    Each probe evaluates up to `points` points of size m, reading levels up
+    to `top`.  A point holds two path-sum intermediates of
+    m * k2**(top-2) * d**2 entries and, in a check, at most 2 m + 8 block
+    matrices of (m d)**2 entries (the Cauchy check's Laurent orders).  A
+    probe too large to share a group is evaluated alone, as every probe was
+    before the checks were batched.  As in a running max() from 0, a NaN
+    residual never wins.
+    """
+    per = 16 * points * m * pair.d**2 * (2 * pair.k ** (2 * max(top - 2, 0)) + (2 * m + 8) * m)
+    size = max(1, MAX_GENERATE_BYTES // per)
+    worst = 0.0
+    for start in range(0, max(probes, 0), size):
+        worst = max(worst, *residuals(slice(start, start + size)))
+    return worst
 
 
 def _require_order(what: str, order: int, need: int, stored: int) -> None:
@@ -299,6 +348,9 @@ def check_identity(
     B:  M_mu(b) - 1 = B_mu(b) M_mu(b)
     R:  M_nu(b) - 1 = R_nu(b M_nu(b))
     cR: (M_mu(b) - 1) M_nu(b) = M_mu(b) cR_{mu,nu}(b M_nu(b))
+
+    The points are drawn first, then evaluated together, one batch per
+    group of probes that fits the byte budget (see _worst).
     """
     if name not in _SERIES:
         raise NCIDError(f"unknown identity {name!r}")
@@ -312,24 +364,25 @@ def check_identity(
             raise NCIDError("identity cR needs the second functional")
         data = data, _truncated(nu, order)
     series = family_of(_SERIES[name], data).levels
-    rng = seeded_rng(seed)
     m = order + 1
-    worst = 0.0
-    for _ in range(probes):
-        point = NilpotentPoint.random(rng, m, pair.k, scale=0.7)
-        mm = eval_M(mu, point)
+    points = _random_entries(seeded_rng(seed), probes, m, pair.k, 0.7)
+
+    def residuals(group):
+        c = points[group]
+        mm = _series(mu.levels, pair, c, True)
         lhs = mm.copy()
-        for i in range(m):
-            lhs[i, i] = lhs[i, i] - np.eye(pair.d)
+        lhs[:, range(m), range(m)] -= np.eye(pair.d)
         if name == "B":
-            rhs = _bprod(eval_series(series, pair, point, False), mm)
-        else:
-            mnu = mm if name == "R" else eval_M(nu, point)
-            arg = _bprod(pair.embed_tensor(point.entries), mnu)
-            rhs = eval_series(series, pair, pair.pullback_tensor(arg), False)
-            if name == "cR":
-                lhs, rhs = _bprod(lhs, mnu), _bprod(mm, rhs)
-        worst = max(worst, _rel_err(lhs, rhs))
+            return _rel_err(lhs, _bprod(_series(series, pair, c, False), mm))
+        mnu = mm if name == "R" else _series(nu.levels, pair, c, True)
+        arg = _bprod(pair.embed_tensor(c), mnu)
+        # each point's argument is pulled back on its own (NotBValued)
+        rhs = _series(series, pair, np.stack([pair.pullback_tensor(a) for a in arg]), False)
+        if name == "cR":
+            lhs, rhs = _bprod(lhs, mnu), _bprod(mm, rhs)
+        return _rel_err(lhs, rhs)
+
+    worst = _worst(residuals, probes, m, pair, order)
     return _report(name, order, seed, probes, worst, tol)
 
 
@@ -346,20 +399,20 @@ def check_cauchy_relation(
     G = sum_s t^{s+1} G_s in t = 1/lambda, its inverse H as
     sum_r t^{r-1} H_r.  The boolean transform relation gives, order by
     order, delta_{r0} 1 - H_r G_0 = [B-series of (X (1-c)^{-1})^r].
+    Every step runs on all the points of a group of probes at once.
     """
     _require_order("relation", order, order, mu.truncation)
     pair = mu.pair
     k, d = pair.k, pair.d
-    rng = seeded_rng(seed)
     m = order + 1
     bstored = family_of("boolean", mu).levels
-    worst = 0.0
-    for _ in range(probes):
-        c = NilpotentPoint.random(rng, m, k, scale=0.5).entries
+    points = _random_entries(seeded_rng(seed), probes, m, k, 0.5)
+
+    def residuals(group):
+        c = points[group]
         # p0 = (1 - c)^{-1} as an upper triangular element of M_m(B)
-        p0 = np.zeros((m, m, k, k), dtype=complex)
-        for i in range(m):
-            p0[i, i] = np.eye(k)
+        p0 = np.zeros_like(c)
+        p0[:, range(m), range(m)] = np.eye(k)
         power = c.copy()
         while np.abs(power).max(initial=0.0) > 0:
             p0 = p0 + power
@@ -376,12 +429,16 @@ def check_cauchy_relation(
             for s in range(1, r + 1):
                 acc = acc + hs[r - s] @ gs[s]
             hs.append(-(acc @ h0))
+        errs = []
         for r in range(order + 1):
             lhs = -(hs[r] @ g0)
             if r == 0:
                 lhs = lhs + np.eye(m * d)
             rhs = block_matrix(_path_sum(bstored[r], pair, p0)) if r else np.zeros_like(lhs)
-            worst = max(worst, _rel_err(lhs, rhs))
+            errs += _rel_err(lhs, rhs)
+        return errs
+
+    worst = _worst(residuals, probes, m, pair, order)
     return _report("G", order, seed, probes, worst, tol)
 
 
@@ -395,39 +452,53 @@ def check_nc_function_axioms(
     """Direct sums and similarities for the moment transform.
 
     Similarities use unipotent upper triangular scalar matrices, which keep
-    strictly upper arguments strictly upper.
+    strictly upper arguments strictly upper.  Each probe draws its own
+    sizes, so the points of a group of probes are evaluated one batch per
+    size.
     """
     # direct sums reach size 2 * order
     _require_order("axioms", order, 2 * order - 1, mu.truncation)
     pair = mu.pair
-    k, d = pair.k, pair.d
+    k = pair.k
     rng = seeded_rng(seed)
-    worst = 0.0
+    draws = []
     for _ in range(probes):
         m1 = int(rng.integers(1, order + 1))
         m2 = int(rng.integers(1, order + 1))
-        b1 = NilpotentPoint.random(rng, m1, k, scale=0.7)
-        b2 = NilpotentPoint.random(rng, m2, k, scale=0.7)
+        b1, b2 = (_random_entries(rng, 1, n, k, 0.7)[0] for n in (m1, m2))
         m = m1 + m2
-        direct = np.zeros((m, m, k, k), dtype=complex)
-        direct[:m1, :m1] = b1.entries
-        direct[m1:, m1:] = b2.entries
-        got = eval_M(mu, direct)
-        want = np.zeros((m, m, d, d), dtype=complex)
-        want[:m1, :m1] = eval_M(mu, b1)
-        want[m1:, m1:] = eval_M(mu, b2)
-        worst = max(worst, _rel_err(got, want))
-
-        b = NilpotentPoint.random(rng, m, k, scale=0.7)
+        b = _random_entries(rng, 1, m, k, 0.7)[0]
         s = np.eye(m, dtype=complex)
-        for i in range(m):
-            for j in range(i + 1, m):
-                s[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
-        sinv = np.linalg.inv(s)
-        conj = np.einsum("il,ljab,jp->ipab", s, b.entries, sinv)
-        got = eval_M(mu, conj)
-        want = np.einsum("il,ljab,jp->ipab", s, eval_M(mu, b), sinv)
-        worst = max(worst, _rel_err(got, want))
+        z = rng.standard_normal((m * (m - 1) // 2, 2))
+        s[np.triu_indices(m, 1)] = z[:, 0] + 1j * z[:, 1]
+        draws.append((m1, b1, b2, b, s, np.linalg.inv(s)))
+
+    def residuals(group):
+        # the five points of each probe, then M at all of them, one batch per size
+        points = []
+        for m1, b1, b2, b, s, sinv in draws[group]:
+            direct = np.zeros((len(s), len(s), k, k), dtype=complex)
+            direct[:m1, :m1] = b1
+            direct[m1:, m1:] = b2
+            points += [direct, b1, b2, np.einsum("il,ljab,jp->ipab", s, b, sinv), b]
+        values = [None] * len(points)
+        for size in {len(p) for p in points}:
+            at = [i for i, p in enumerate(points) if len(p) == size]
+            for i, value in zip(at, _series(mu.levels, pair, np.stack([points[i] for i in at]), True)):
+                values[i] = value
+        errs = []
+        for n, (m1, b1, b2, b, s, sinv) in enumerate(draws[group]):
+            got, top, bottom, conj, mb = values[5 * n : 5 * n + 5]
+            want = np.zeros_like(got)
+            want[:m1, :m1] = top
+            want[m1:, m1:] = bottom
+            errs += _rel_err(got[None], want[None])
+            want = np.einsum("il,ljab,jp->ipab", s, mb, sinv)
+            errs += _rel_err(conj[None], want[None])
+        return errs
+
+    # a probe's direct sum, similarity and b may all have the largest size
+    worst = _worst(residuals, probes, 2 * order, pair, 2 * order - 1, 3)
     return _report("axioms", order, seed, probes, worst, tol)
 
 
@@ -473,19 +544,22 @@ def tensor_compatibility(
 ) -> dict:
     """Amplification compatibility: evaluating the transform of the
     n-amplified functional at m x m points agrees with evaluating the
-    original transform at the regrouped (mn) x (mn) point."""
+    original transform at the regrouped (mn) x (mn) point.  The points of
+    a group of probes are evaluated together."""
     _require_order("tensor", order, order, mu.truncation)
     pair = mu.pair
     k = pair.k
     amp = amplify_functional(mu, n, order)
-    rng = seeded_rng(seed)
     m = order + 1
-    worst = 0.0
-    for _ in range(probes):
-        big = NilpotentPoint.random(rng, m, n * k, scale=0.6)
-        small_entries = big.entries.reshape(m, m, n, k, n, k).transpose(0, 2, 1, 4, 3, 5)
-        small_entries = small_entries.reshape(m * n, m * n, k, k)
-        got = block_matrix(eval_M(amp, big))
-        want = block_matrix(eval_M(mu, small_entries))
-        worst = max(worst, _rel_err(got, want))
+    points = _random_entries(seeded_rng(seed), probes, m, n * k, 0.6)
+
+    def residuals(group):
+        big = points[group]
+        small = big.reshape(-1, m, m, n, k, n, k).transpose(0, 1, 3, 2, 5, 4, 6)
+        small = small.reshape(-1, m * n, m * n, k, k)
+        got = block_matrix(_series(amp.levels, amp.pair, big, True))
+        want = block_matrix(_series(mu.levels, pair, small, True))
+        return _rel_err(got, want)
+
+    worst = _worst(residuals, probes, m, amp.pair, order)
     return _report("tensor", order, seed, probes, worst, tol)

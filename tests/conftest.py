@@ -78,6 +78,31 @@ def twisted(moments, h):
     return MomentFunctional(pair=pair, truncation=len(moments), levels=levels)
 
 
+def dilate(mf, lam):
+    """The law of lam X: level n scales by lam**n."""
+    levels = {n: lam**n * mf.raw(n) for n in range(1, mf.truncation + 1)}
+    return MomentFunctional(pair=mf.pair, truncation=mf.truncation, levels=levels)
+
+
+def conjugate(mf, u):
+    """The law of u X u^* for a unitary u in B.
+
+    Its moment of X b1 X ... X is u mu(X (u^* b1 u) X ... X) u^*, so every
+    unit slot is mapped through b -> u^* b u and the value is conjugated.
+    """
+    units = matrix_units(mf.pair.k)
+    # slot map: u^* e_s u = sum_t c[s, t] e_t
+    c = np.stack([(u.conj().T @ e @ u).reshape(-1) for e in units])
+    eu = mf.pair.embed(u)
+    levels = {}
+    for n in range(1, mf.truncation + 1):
+        lev = mf.raw(n)
+        for axis in range(n - 1):
+            lev = np.moveaxis(np.tensordot(c, lev, axes=([1], [axis])), 0, axis)
+        levels[n] = eu @ lev @ eu.conj().T
+    return MomentFunctional(pair=mf.pair, truncation=mf.truncation, levels=levels)
+
+
 def bvalued_realizable(seed: int, pair: AlgebraPair, trunc: int = 6) -> MomentFunctional:
     """A realizable functional whose moments all lie in the embedded copy of B.
 
@@ -172,3 +197,190 @@ def mu228(pair22) -> MomentFunctional:
 @pytest.fixture(scope="session")
 def mu24(pair24) -> MomentFunctional:
     return generate_realizable(9, pair24, 6, ambient=8)
+
+
+# Per-probe references for the batched nilpotent-point code: the kernel, the
+# point draw and the identity checks as they ran one point at a time.
+
+
+def random_point_by_blocks(rng, m: int, k: int, scale: float) -> np.ndarray:
+    """Entries of a random strictly upper point, drawn block by block."""
+    entries = np.zeros((m, m, k, k), dtype=complex)
+    for i in range(m):
+        for j in range(i + 1, m):
+            entries[i, j] = scale * (
+                rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            )
+    return entries
+
+
+def path_sum_by_point(level, pair, coeff):
+    """id_m tensor mu applied to (X coeff)^p at one (m, m, k, k) point."""
+    m = coeff.shape[0]
+    steps = coeff.reshape(m, m, -1).transpose(1, 0, 2)
+    embedded = pair.embed_tensor(coeff)
+    out = np.empty((m, m, pair.d, pair.d), dtype=complex)
+    for i in range(m):
+        t, rows = level[None], slice(i, i + 1)
+        for _ in range(level.ndim - 2):
+            step = steps[:, rows].reshape(m, -1)
+            t = (step @ t.reshape(step.shape[1], -1)).reshape((m,) + t.shape[2:])
+            rows = slice(None)
+        out[i] = np.einsum("sab,sjbc->jac", t, embedded[rows])
+    return out
+
+
+def series_by_point(levels, pair, entries, include_identity):
+    """eval_series at one point, summed with path_sum_by_point."""
+    from ncid.ncfunctions import _support_chain
+
+    m, d = entries.shape[0], pair.d
+    out = np.zeros((m, m, d, d), dtype=complex)
+    if include_identity:
+        for i in range(m):
+            out[i, i] = np.eye(d)
+    for p in range(1, _support_chain(entries, max(levels)) + 1):
+        out += path_sum_by_point(levels[p], pair, entries)
+    return out
+
+
+def _bprod(a, b):
+    return np.einsum("ilab,ljbc->ijac", a, b)
+
+
+def _point_err(lhs, rhs) -> float:
+    scale = max(1.0, float(np.abs(lhs).max(initial=0.0)), float(np.abs(rhs).max(initial=0.0)))
+    return float(np.abs(lhs - rhs).max(initial=0.0)) / scale
+
+
+def _report(identity, order, seed, probes, worst, tol):
+    return {"identity": identity, "order": order, "seed": seed, "probes": probes,
+            "residual": worst, "pass": worst <= tol}
+
+
+def check_identity_by_point(name, mu, nu=None, order=4, seed=0, probes=50, tol=1e-10):
+    """check_identity, one probe at a time."""
+    from ncid.cumulants import family_of
+    from ncid.distribution import _truncated, seeded_rng
+
+    pair = mu.pair
+    data = _truncated(mu, order)
+    if name == "cR":
+        data = data, _truncated(nu, order)
+    series = family_of({"B": "boolean", "R": "free", "cR": "cfree"}[name], data).levels
+    rng = seeded_rng(seed)
+    m = order + 1
+    worst = 0.0
+    for _ in range(probes):
+        point = random_point_by_blocks(rng, m, pair.k, 0.7)
+        mm = series_by_point(mu.levels, pair, point, True)
+        lhs = mm.copy()
+        for i in range(m):
+            lhs[i, i] = lhs[i, i] - np.eye(pair.d)
+        if name == "B":
+            rhs = _bprod(series_by_point(series, pair, point, False), mm)
+        else:
+            mnu = mm if name == "R" else series_by_point(nu.levels, pair, point, True)
+            arg = _bprod(pair.embed_tensor(point), mnu)
+            rhs = series_by_point(series, pair, pair.pullback_tensor(arg), False)
+            if name == "cR":
+                lhs, rhs = _bprod(lhs, mnu), _bprod(mm, rhs)
+        worst = max(worst, _point_err(lhs, rhs))
+    return _report(name, order, seed, probes, worst, tol)
+
+
+def check_cauchy_relation_by_point(mu, order=4, seed=0, probes=10, tol=1e-9):
+    """check_cauchy_relation, one probe at a time."""
+    from ncid.cumulants import family_of
+    from ncid.distribution import seeded_rng
+
+    pair = mu.pair
+    k, d = pair.k, pair.d
+    rng = seeded_rng(seed)
+    m = order + 1
+    bstored = family_of("boolean", mu).levels
+    worst = 0.0
+    for _ in range(probes):
+        c = random_point_by_blocks(rng, m, k, 0.5)
+        p0 = np.zeros((m, m, k, k), dtype=complex)
+        for i in range(m):
+            p0[i, i] = np.eye(k)
+        power = c.copy()
+        while np.abs(power).max(initial=0.0) > 0:
+            p0 = p0 + power
+            power = _bprod(power, c)
+        ep0 = pair.embed_tensor(p0)
+        g0 = block_matrix(ep0)
+        gs = [g0]
+        for s in range(1, order + 1):
+            gs.append(block_matrix(_bprod(ep0, path_sum_by_point(mu.levels[s], pair, p0))))
+        h0 = np.linalg.inv(g0)
+        hs = [h0]
+        for r in range(1, order + 1):
+            acc = np.zeros_like(h0)
+            for s in range(1, r + 1):
+                acc = acc + hs[r - s] @ gs[s]
+            hs.append(-(acc @ h0))
+        for r in range(order + 1):
+            lhs = -(hs[r] @ g0)
+            if r == 0:
+                lhs = lhs + np.eye(m * d)
+            rhs = block_matrix(path_sum_by_point(bstored[r], pair, p0)) if r else np.zeros_like(lhs)
+            worst = max(worst, _point_err(lhs, rhs))
+    return _report("G", order, seed, probes, worst, tol)
+
+
+def check_nc_function_axioms_by_point(mu, order=3, seed=0, probes=20, tol=1e-10):
+    """check_nc_function_axioms, one probe at a time."""
+    from ncid.distribution import seeded_rng
+
+    pair = mu.pair
+    k, d = pair.k, pair.d
+    rng = seeded_rng(seed)
+    worst = 0.0
+    for _ in range(probes):
+        m1 = int(rng.integers(1, order + 1))
+        m2 = int(rng.integers(1, order + 1))
+        b1 = random_point_by_blocks(rng, m1, k, 0.7)
+        b2 = random_point_by_blocks(rng, m2, k, 0.7)
+        m = m1 + m2
+        direct = np.zeros((m, m, k, k), dtype=complex)
+        direct[:m1, :m1] = b1
+        direct[m1:, m1:] = b2
+        got = series_by_point(mu.levels, pair, direct, True)
+        want = np.zeros((m, m, d, d), dtype=complex)
+        want[:m1, :m1] = series_by_point(mu.levels, pair, b1, True)
+        want[m1:, m1:] = series_by_point(mu.levels, pair, b2, True)
+        worst = max(worst, _point_err(got, want))
+
+        b = random_point_by_blocks(rng, m, k, 0.7)
+        s = np.eye(m, dtype=complex)
+        for i in range(m):
+            for j in range(i + 1, m):
+                s[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
+        sinv = np.linalg.inv(s)
+        conj = np.einsum("il,ljab,jp->ipab", s, b, sinv)
+        got = series_by_point(mu.levels, pair, conj, True)
+        want = np.einsum("il,ljab,jp->ipab", s, series_by_point(mu.levels, pair, b, True), sinv)
+        worst = max(worst, _point_err(got, want))
+    return _report("axioms", order, seed, probes, worst, tol)
+
+
+def tensor_compatibility_by_point(mu, n, order=3, seed=0, probes=10, tol=1e-10):
+    """tensor_compatibility, one probe at a time."""
+    from ncid.distribution import seeded_rng
+    from ncid.ncfunctions import amplify_functional
+
+    k = mu.pair.k
+    amp = amplify_functional(mu, n, order)
+    rng = seeded_rng(seed)
+    m = order + 1
+    worst = 0.0
+    for _ in range(probes):
+        big = random_point_by_blocks(rng, m, n * k, 0.6)
+        small = big.reshape(m, m, n, k, n, k).transpose(0, 2, 1, 4, 3, 5)
+        small = small.reshape(m * n, m * n, k, k)
+        got = block_matrix(series_by_point(amp.levels, amp.pair, big, True))
+        want = block_matrix(series_by_point(mu.levels, mu.pair, small, True))
+        worst = max(worst, _point_err(got, want))
+    return _report("tensor", order, seed, probes, worst, tol)

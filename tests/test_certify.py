@@ -21,7 +21,7 @@ from ncid.certify import (
 from ncid import certify as certify_module, cumulants
 from ncid.convolution import convolve, root
 from ncid.cumulants import family_of, free_from_moments, functional_of
-from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
+from ncid.distribution import generate_realizable, scalar_from_moments
 from ncid.errors import (
     CertificateFailed,
     DimensionMismatch,
@@ -34,7 +34,9 @@ from ncid.ncfunctions import NilpotentPoint, eval_B, eval_R, eval_cR
 from conftest import (
     BERNOULLI_MOMENTS,
     SEMICIRCLE_MOMENTS,
+    conjugate,
     copied_assembly,
+    dilate,
     divisible_cfree_pair,
     divisible_free,
     hermitize,
@@ -351,31 +353,6 @@ def test_roots_recertify(mu22, pair22):
     mu, nv = divisible_cfree_pair(70, pair22)
     cmu, cnu = root("cfree", (mu, nv), 3)
     assert certify("cfree", (cmu, cnu), 3).passed
-
-
-def dilate(mf, lam):
-    """The law of lam X: level n scales by lam**n."""
-    levels = {n: lam**n * mf.raw(n) for n in range(1, mf.truncation + 1)}
-    return MomentFunctional(pair=mf.pair, truncation=mf.truncation, levels=levels)
-
-
-def conjugate(mf, u):
-    """The law of u X u^* for a unitary u in B.
-
-    Its moment of X b1 X ... X is u mu(X (u^* b1 u) X ... X) u^*, so every
-    unit slot is mapped through b -> u^* b u and the value is conjugated.
-    """
-    units = matrix_units(mf.pair.k)
-    # slot map: u^* e_s u = sum_t c[s, t] e_t
-    c = np.stack([(u.conj().T @ e @ u).reshape(-1) for e in units])
-    eu = mf.pair.embed(u)
-    levels = {}
-    for n in range(1, mf.truncation + 1):
-        lev = mf.raw(n)
-        for axis in range(n - 1):
-            lev = np.moveaxis(np.tensordot(c, lev, axes=([1], [axis])), 0, axis)
-        levels[n] = eu @ lev @ eu.conj().T
-    return MomentFunctional(pair=mf.pair, truncation=mf.truncation, levels=levels)
 
 
 def test_free_certificate_is_dilation_invariant_for_bernoulli():

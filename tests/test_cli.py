@@ -234,6 +234,41 @@ def test_gen_past_the_work_budget_exits_1():
     assert out.stderr == ""
 
 
+@pytest.mark.parametrize("argv, admitted", [
+    (["--k", "2", "--d", "2", "--trunc", "8"], True),  # the 4.4 MB law of cli-k2-n8
+    (["--k", "2", "--d", "2", "--trunc", "11"], True),
+    (["--k", "2", "--d", "2", "--trunc", "12"], False),  # 268 MB of levels, 1.1 GB of text
+    (["--k", "1", "--d", "64", "--trunc", "6000"], False),
+    (["--k", "4", "--d", "8", "--trunc", "7"], False),
+])
+def test_gen_refuses_text_past_the_byte_budget_before_computing(monkeypatch, capsys, argv,
+                                                                admitted):
+    class Computed(Exception):
+        pass
+
+    def computed(*args):
+        raise Computed
+
+    monkeypatch.setattr(cli, "generate_realizable", computed)
+    if admitted:
+        with pytest.raises(Computed):
+            cli.main(["gen", *argv])
+    else:
+        assert cli.main(["gen", *argv]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "TooLarge"
+
+
+@pytest.mark.parametrize("argv", [["--k", "1", "--d", "2", "--trunc", "6"],
+                                  ["--k", "2", "--d", "4", "--trunc", "4"]])
+def test_gen_refuses_a_budget_below_its_text(monkeypatch, capsys, argv):
+    # the estimate, at the longest entry text, is no less than the text
+    assert cli.main(["gen", *argv]) == 0
+    size = len(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "MAX_GENERATE_BYTES", size - 1)
+    assert cli.main(["gen", *argv]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "TooLarge"
+
+
 def test_check_cfree_needs_aux(semi_path):
     out = run_cli("check", "--identity", "cR", semi_path)
     assert out.returncode == 1

@@ -38,6 +38,10 @@ INTS = st.one_of(st.integers(1, 4), st.integers(-4, 16), st.integers(-2**64, 2**
 FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-9]), st.floats())
 KINDS = st.sampled_from(["boolean", "free", "cfree"])
 MUTATIONS = ("drop_key", "drop_level", "reshape", "truncation", "swap", "scale")
+# gen sizes either side of the byte budget on its text: 4.4 MB of JSON, and
+# 1.1 GB and 60 GB, which gen refuses before computing
+GEN_SIZES = (("--k=2", "--d=2", "--trunc=8"), ("--k=2", "--d=2", "--trunc=12"),
+             ("--k=4", "--d=8", "--trunc=7"))
 
 
 def _scaled(entry, factor):
@@ -97,6 +101,8 @@ def argvs(draw, tmp_dir, cmd):
         return list(args) if draw(st.booleans()) else []
 
     if cmd == "gen":
+        if draw(st.integers(0, 3)) == 0:
+            return ["gen", *draw(st.sampled_from(GEN_SIZES)), num("--seed")]
         return ["gen", num("--k"), num("--d"), num("--trunc"), num("--seed"), *maybe(num("--m"))]
     if cmd == "selftest":
         return ["selftest", *maybe(num("--seed"))]

@@ -1,0 +1,81 @@
+"""The cumulant families transform as the law does.
+
+Dilation X -> lam X scales level n of every family by lam**n, and the law of
+u X u^* for a unitary u in B has the conjugated families.  Both are checked
+for the boolean, free and c-free kinds, from moments to cumulants and back,
+on realizable laws (B-valued where the kind needs it).  Errors are measured
+against s**n at level n, with s the largest ||m_n||**(1/n) of the laws'
+moments (a Frobenius norm, so conjugation leaves it alone): a level's own
+largest entry is the wrong scale, since a cumulant level can be rounding
+noise of the levels below it.
+"""
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncid.algebra import AlgebraPair
+from ncid.cumulants import KINDS, CumulantFamily, family_of, moments_of
+from ncid.distribution import MomentFunctional, generate_realizable
+
+from conftest import bvalued_realizable, conjugate, dilate
+
+# (k, d, largest truncation)
+SHAPES = ((1, 1, 8), (1, 2, 5), (2, 2, 5), (2, 4, 4))
+TOL = 1e-12
+
+
+@st.composite
+def laws(draw):
+    """A realizable law mu and a B-valued one nu over one pair, each with a
+    scale s of its moments."""
+    k, d, top = draw(st.sampled_from(SHAPES))
+    pair = AlgebraPair.identity(k) if k == d else AlgebraPair.block_diagonal(k, d)
+    trunc = draw(st.integers(2, top))
+    seed = draw(st.integers(0, 10**6))
+    mu = generate_realizable(seed, pair, trunc, ambient=2 * d)
+    nu = bvalued_realizable(seed + 1, pair, trunc)
+    s = max(np.linalg.norm(law.levels[n]) ** (1 / n) for law in (mu, nu) for n in law.levels)
+    return mu, nu, s
+
+
+def family_map(fam: CumulantFamily, move) -> CumulantFamily:
+    """The family whose levels are move() of fam's, read as a law's levels."""
+    moved = move(MomentFunctional(fam.pair, fam.truncation, fam.levels))
+    return CumulantFamily(fam.kind, fam.pair, fam.truncation, moved.levels)
+
+
+def assert_families_follow(mu, nu, move, s):
+    """family(move(data)) = move(family(data)), and the moments of
+    move(family) are move(mu), for every kind, to TOL * s**n at level n."""
+
+    def err(got, want):
+        return max(np.abs(got[n] - want[n]).max() / s**n for n in want)
+
+    for kind in KINDS:
+        law = nu if kind == "free" else mu
+        data, moved = ((mu, nu), (move(mu), move(nu))) if kind == "cfree" else (law, move(law))
+        fam = family_of(kind, data)
+        want = family_map(fam, move)
+        assert err(family_of(kind, moved).levels, want.levels) <= TOL, kind
+        back = moments_of(want, move(nu) if kind == "cfree" else None)
+        assert err(back.levels, move(law).levels) <= TOL, kind
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(laws(), st.floats(-3.0, 3.0))
+def test_families_scale_under_dilation(case, log_lam):
+    mu, nu, s = case
+    lam = 10.0**log_lam
+    assert_families_follow(mu, nu, lambda law: dilate(law, lam), lam * s)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(laws(), st.integers(0, 10**6))
+def test_families_follow_unitary_conjugation(case, seed):
+    mu, nu, s = case
+    k = mu.pair.k
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    assert_families_follow(mu, nu, lambda law: conjugate(law, u), s)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ncid.cumulants
+from ncid import ncfunctions
 from ncid.algebra import AlgebraPair
 from ncid.certify import levy_hincin_extract, levy_hincin_reconstruct
 from ncid.cumulants import boolean_from_moments, cfree_from_moments, free_from_moments
@@ -34,7 +35,17 @@ from ncid.ncfunctions import (
     triangular_probe,
 )
 
-from conftest import bvalued_realizable, relerr
+from conftest import (
+    bvalued_realizable,
+    check_cauchy_relation_by_point,
+    check_identity_by_point,
+    check_nc_function_axioms_by_point,
+    path_sum_by_point,
+    random_point_by_blocks,
+    relerr,
+    series_by_point,
+    tensor_compatibility_by_point,
+)
 
 
 def rand_coeffs(seed: int, k: int, n: int) -> list:
@@ -390,3 +401,129 @@ def test_amplification_matches_unit_by_unit_loop(semicircle, mu22, mu24, n):
         amp = amplify_functional(mu, n, 4)
         for p in range(1, 5):
             assert np.array_equal(amp.levels[p], _amplified_level_by_loop(mu, n, p))
+
+
+def test_random_points_read_the_generator_as_the_block_loop():
+    for k in (1, 2, 3):
+        for m in (1, 2, 5, 7):
+            one, other = np.random.default_rng(9), np.random.default_rng(9)
+            for scale in (1.0, 0.7):
+                got = NilpotentPoint.random(one, m, k, scale=scale).entries
+                assert np.array_equal(got, random_point_by_blocks(other, m, k, scale))
+            assert one.bit_generator.state == other.bit_generator.state
+
+
+def _points_of_different_chains(rng, m: int, k: int) -> np.ndarray:
+    """Points of one size whose longest chains differ: a full strictly upper
+    point, a superdiagonal probe, a full point with a zero row, a direct sum
+    of two blocks, and zero."""
+    full = NilpotentPoint.random(rng, m, k, scale=0.7).entries
+    probe = triangular_probe(rand_coeffs(int(rng.integers(100)), k, m - 1)).entries
+    holed = NilpotentPoint.random(rng, m, k, scale=0.7).entries
+    holed[1] = 0
+    split = NilpotentPoint.random(rng, m, k, scale=0.7).entries
+    split[:2, 2:] = 0
+    return np.stack([full, probe, holed, split, np.zeros_like(full)])
+
+
+@pytest.mark.parametrize("k, d", [(1, 1), (2, 2), (2, 4)])
+def test_batched_kernel_and_series_match_each_point(k, d):
+    pair = AlgebraPair.identity(k) if k == d else AlgebraPair.block_diagonal(k, d)
+    mu = generate_realizable(5, pair, 6, ambient=2 * d)
+    points = _points_of_different_chains(np.random.default_rng(k + d), 5, k)
+    # unit diagonal, as the Cauchy check's (1 - c)^(-1)
+    unipotent = points.copy()
+    unipotent[:, range(5), range(5)] = np.eye(k)
+    for batch in (points, unipotent):
+        for p in range(1, 7):
+            got = ncfunctions._path_sum(mu.levels[p], pair, batch)
+            for q, entries in enumerate(batch):
+                assert np.array_equal(got[q], path_sum_by_point(mu.levels[p], pair, entries)), (p, q)
+    for include_identity in (True, False):
+        got = ncfunctions._series(mu.levels, pair, points, include_identity)
+        for q, entries in enumerate(points):
+            want = series_by_point(mu.levels, pair, entries, include_identity)
+            assert np.array_equal(got[q], want), q
+            assert np.array_equal(eval_series(mu.levels, pair, entries, include_identity), want)
+    # the chain is checked on every point of a batch
+    cyclic = points.copy()
+    cyclic[2, 4, 0] = np.eye(k)
+    with pytest.raises(DimensionMismatch):
+        ncfunctions._series(mu.levels, pair, cyclic, True)
+    with pytest.raises(TruncationExceeded):
+        ncfunctions._series(_cut(mu, 3).levels, pair, points, True)
+
+
+# (k, d, truncation): the point benchmark's law, a k = 2 law, and d = 4 > k,
+# where R and cR pull their arguments back into B
+CHECK_CASES = {"k1": (1, 1, 12), "k2": (2, 2, 6), "k2d4": (2, 4, 5)}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_checks_match_their_per_probe_loops(case):
+    k, d, trunc = CHECK_CASES[case]
+    pair = AlgebraPair.identity(k) if k == d else AlgebraPair.block_diagonal(k, d)
+    mu = generate_realizable(31, pair, trunc, ambient=2 * d)
+    nu = bvalued_realizable(32, pair, trunc)
+    for seed in (0, 5):
+        for order in (1, 2, 4):
+            for name, args in (("B", (mu,)), ("R", (nu,)), ("cR", (mu, nu))):
+                got = check_identity(name, *args, order=order, seed=seed, probes=12)
+                assert got == check_identity_by_point(name, *args, order=order, seed=seed,
+                                                      probes=12), (name, order, seed)
+            got = check_cauchy_relation(mu, order=order, seed=seed)
+            assert got == check_cauchy_relation_by_point(mu, order=order, seed=seed)
+            got = tensor_compatibility(mu, 2, order=order, seed=seed, probes=4)
+            assert got == tensor_compatibility_by_point(mu, 2, order=order, seed=seed, probes=4)
+        for order in (1, 2, 3):
+            got = check_nc_function_axioms(mu, order=order, seed=seed)
+            assert got == check_nc_function_axioms_by_point(mu, order=order, seed=seed)
+    # the default probe counts
+    assert check_identity("R", nu, order=3, seed=2) == check_identity_by_point(
+        "R", nu, order=3, seed=2)
+
+
+def test_a_batch_past_the_byte_budget_is_split_not_refused(monkeypatch, mu22, nu22):
+    checks = {
+        "B": lambda: check_identity("B", mu22, order=3, probes=12),
+        "cR": lambda: check_identity("cR", mu22, nu22, order=3, probes=12),
+        "G": lambda: check_cauchy_relation(mu22, order=3, probes=12),
+        "axioms": lambda: check_nc_function_axioms(mu22, order=2, probes=12),
+        "tensor": lambda: tensor_compatibility(mu22, 2, order=3, probes=12),
+    }
+    batches = []
+    path_sum = ncfunctions._path_sum
+
+    def spy(level, pair, coeff):
+        batches.append(len(coeff))
+        return path_sum(level, pair, coeff)
+
+    monkeypatch.setattr(ncfunctions, "_path_sum", spy)
+    whole = {}
+    for name, check in checks.items():
+        batches.clear()
+        whole[name] = check(), len(batches)
+    # the least budget that fits more than one probe of order 3 in a batch:
+    # one probe fits, the 12 do not
+    for j in range(40):
+        monkeypatch.setattr(ncfunctions, "MAX_GENERATE_BYTES", 2**j)
+        batches.clear()
+        checks["B"]()
+        if max(batches) > 1:
+            break
+    size = max(batches)
+    assert 1 < size < 12
+    for name, check in checks.items():
+        batches.clear()
+        report, calls = whole[name]
+        assert check() == report, name
+        assert len(batches) > calls, name
+        if name in ("B", "cR", "G"):
+            assert max(batches) == size, (name, batches)
+
+
+def test_r_and_cr_checks_refuse_a_d_valued_law(mu24):
+    for name, args in (("R", (mu24,)), ("cR", (mu24, mu24))):
+        for order in (1, 3):
+            with pytest.raises(NotBValued):
+                check_identity(name, *args, order=order)

@@ -102,6 +102,13 @@ def test_lib_digest_smoke():
             "free Levy-Hincin certificate",
             "cfree extract",
             "boolean reconstruct at a 4 x 4 point",
+            "check B of mu at order 4, seed 1",
+            "check R of nu at order 1, seed 0",
+            "check R of mu at order 2, seed 1",
+            "check cR of (mu_c, nu) at order 3, seed 0",
+            "check G of mu at order 4, seed 0",
+            "check axioms of mu at order 2, seed 1",
+            "check tensor of mu at order 3, seed 0",
         ):
             assert f"(k, d) = {pair}: {step}" in digests
     # the digests are of the outputs: a model's depth, and the empty word
@@ -112,6 +119,9 @@ def test_lib_digest_smoke():
     assert digests["(k, d) = (2, 4): boolean model, one component: phi moment of degree 0"] == (
         script.digest(np.eye(4, dtype=complex)))
     assert len(set(digests.values())) > len(digests) // 2
+    # a check that raises is digested as its error
+    assert digests["(k, d) = (2, 2): check axioms of mu at order 3, seed 0"] == script.digest(
+        "OrderExceedsTruncation: axioms check at order 3 needs truncation 5, got 4")
 
 
 @pytest.mark.parametrize(
