@@ -7,8 +7,11 @@ extract for kinds free and cfree on laws a and b at truncation 5 (free
 recursions at k = 2 are too slow at truncation 8): c-free certify, extract
 and cumulants take law b as --aux, and c-free convolve and root take the
 pair files (a, b) and (b, a).  Then come `check --identity` B, R, cR, G,
-axioms and tensor at each order on law a (cR with law b as --aux), and
-`selftest` at each selftest seed.  Each line reads
+axioms and tensor at each order on law a (cR with law b as --aux).  After
+the seed pairs come the scalar law with moments (0, 1e300, 0, 2e300, 0,
+5e300), whose evaluations pass the float range, with `check --identity B`,
+`certify --kind boolean` and `cumulants --kind boolean` on it (a report or a
+JSON error each), and `selftest` at each selftest seed.  Each line reads
 `<sha256 of stdout> <exit code> <step>`.  Every tensor file (the laws, pair
 files, cumulant families and the boolean extraction) gets a second line,
 `<step> reloaded`: the digest of that file loaded and written again by the
@@ -52,6 +55,13 @@ import sys
 from ncid import serialize
 mu, nu = (serialize.functional_from_json(serialize.load_path(p)) for p in sys.argv[1:])
 print(serialize.dumps(serialize.pair_file_to_json(mu, nu)))
+"""
+
+# Writes the scalar law whose moments are near the top of the float range.
+OVERFLOW = """
+from ncid import distribution, serialize
+law = distribution.scalar_from_moments((0, 1e300, 0, 2e300, 0, 5e300))
+print(serialize.dumps(serialize.functional_to_json(law)))
 """
 
 CLI = ["-m", "ncid.cli"]
@@ -114,6 +124,18 @@ def checks(orders):
             yield f"check {name} order {order}", args, f"check-{name}-{order}.json", None
 
 
+def overflow_steps():
+    """The law of OVERFLOW and three subcommands that load it."""
+    return [
+        ("overflow law", ["-c", OVERFLOW], "big.json"),
+        ("overflow law: check B", [*CLI, "check", "--identity", "B", "big.json"], "big-check.json"),
+        ("overflow law: certify boolean",
+         [*CLI, "certify", "--kind", "boolean", "--degree", "2", "big.json"], "big-cert.json"),
+        ("overflow law: cumulants boolean",
+         [*CLI, "cumulants", "--kind", "boolean", "--in", "big.json"], "big-c.json"),
+    ]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="source tree holding ncid/")
@@ -149,6 +171,8 @@ def main() -> None:
                 run(label, argv, outfile)
                 if codec is not None:
                     run(f"{label} reloaded", ["-c", RELOAD, codec, outfile], "reloaded.json")
+        for label, argv, outfile in overflow_steps():
+            run(label, argv, outfile)
         for seed in args.selftest:
             run(f"selftest seed {seed}", [*CLI, "selftest", "--seed", str(seed)],
                 "selftest.json")

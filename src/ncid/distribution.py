@@ -126,12 +126,15 @@ class MomentFunctional:
         """Raise NotHermitian when some level n's *-residual is above
         DEFAULT_TOL * s^n, one level at a time.  s = max_n max|level n|^(1/n)
         is the law's own scale, so a level that is zero in exact arithmetic
-        and holds only rounding noise passes."""
+        and holds only rounding noise passes; a threshold past the float
+        range is +inf."""
         levels = range(1, self.truncation + 1)
         s = max((cnorm(self.raw(n)) ** (1.0 / n) for n in levels), default=0.0)
         for n in levels:
             gap = _star_gap(self.raw(n), self.pair.k)
-            if gap > DEFAULT_TOL * s**n:
+            with np.errstate(over="ignore"):
+                floor = DEFAULT_TOL * np.float64(s) ** n
+            if gap > floor:
                 raise NotHermitian(f"moment level {n} is {gap:.3e} away from *-compatibility")
 
 

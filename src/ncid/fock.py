@@ -5,7 +5,7 @@ left-bordered X-ended word u0 X u1 ... u_{j-1} X.  The key's shape is the key
 with each word replaced by (t, j):
 
 boolean   ()                      vacuum, coordinate in D
-          (t, j)                  one centered word, coordinate in D
+          (t, j)                  one sigma-word, coordinate in D
 free      ()                      vacuum, coordinate in B
           ((t1, j1), ..., (tr, jr))   tensor of H-factors, coordinate in B
 cfree     ('D', hs)               first summand: H-tensor shape hs, in D
@@ -16,24 +16,27 @@ A vector maps shapes to arrays of shape (k^2,) * letters + (v, cols), one
 axis per letter in key order (H-factors, then the K-leg word), then the v
 rows of the coordinate (v = k for free models, d otherwise) and any columns.
 create, insert, transfer, k_create and k_insert prepend the letter
-sum_i e_ii, a new leading axis.  annihilate, gauge, k_annihilate,
-apply_coefficient and the boolean transfer correction are one matmul of a
-value table against the front row: the first letter's row, or the vacuum
-coordinate.  A B-valued table goes through the embedding exactly when the
-result's front is a D-vacuum: the boolean (), ('O',) and ('D', ()).
+sum_i e_ii, a new leading axis.  annihilate, gauge, k_annihilate, gauge_k
+and apply_coefficient are one matmul of a value table against the front
+row: the first letter's row, or the vacuum coordinate.  A B-valued table
+goes through the embedding exactly when the result's front is a D-vacuum:
+the boolean (), ('O',) and ('D', ()).
 
 The operator table _OPS lists each kind's operators in the order the
 represented variable sums them, with the root-scale key of each.  The c-free
 H side is the free model's H-tensor with a D-vacuum or a K-leg word beside
-it, so its four H operators are the free ones (_h_terms); only the K-leg
-operators are its own.
+it, so its four H operators are the free ones (_h_terms).  Its K leg on
+C + H_sigma (_leg_terms) is also the whole boolean model: boolean is c-free
+against nu = delta_0, so a boolean key is one sigma-word, with no centering
+and no transfer correction.
 
 fock_basis lists the keys shape by shape, lexicographic in the letters
 within a shape, so operator_matrix applies an operator once per shape, to
 the identity on its keys, and gram_matrix fills one block per shape pair.
 
 A component is its cumulant tables, level n holding the values on n-letter
-words: a boolean law's moments, a free side's kb and a c-free side's ckd.
+words: a boolean law's boolean cumulants (its ckd against delta_0), a free
+side's kb and a c-free side's ckd.
 
 Each builder gates its data on a certificate of ncid.certify (certify for a
 boolean law, certify_levy_hincin for a free or c-free side): data gets a model
@@ -63,7 +66,7 @@ from .certify import (
     hermitian_gram,
     word_family,
 )
-from .cumulants import values_in
+from .cumulants import boolean_from_moments, values_in
 from .distribution import MomentFunctional
 from .errors import (
     DepthExceeded,
@@ -83,6 +86,8 @@ _OPS = {
 }
 # the c-free H-side operators and the free operators they run
 _H_SIDE = {"h_annihilate": "annihilate", "h_create": "create", "gauge_h": "gauge", "h_insert": "insert"}
+# the c-free K-leg operators and the boolean operators they run
+_K_LEG = {"k_annihilate": "annihilate", "k_create": "create", "gauge_k": "gauge", "k_insert": "transfer"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,17 +144,19 @@ def _side(pair: AlgebraPair, alpha, sigma: SigmaForm, kind: str, what: str) -> d
 
 
 def boolean_sum_model(mus, depth: int | None = None) -> FockModel:
-    """Boolean model of one or more laws, each component its moment levels."""
+    """Boolean model of one or more laws, each component its law's boolean
+    cumulant table, built once every gate has passed."""
     mus = _components(mus)
     pair = mus[0].pair
     if not all(pair.same_pair(mu.pair) for mu in mus):
         raise DimensionMismatch("model components over different pairs")
-    model = _model("boolean", pair, [{"levels": dict(mu.levels)} for mu in mus], depth)
+    # the depth rule reads the laws' levels, which their tables will have too
+    model = _model("boolean", pair, [{"moments": mu.levels} for mu in mus], depth)
     for mu in mus:
         check_deg = min(model.depth, mu.truncation // 2)
         if check_deg >= 1:
             _gate(certify("boolean", mu, check_deg), "input law")
-    return model
+    return replace(model, components=tuple({"ckd": boolean_from_moments(mu).levels} for mu in mus))
 
 
 def build_boolean(mu: MomentFunctional, depth: int | None = None) -> FockModel:
@@ -334,46 +341,6 @@ def apply_coefficient(model: FockModel, vec: dict, b) -> dict:
     return {shape: _lmul(_b_table(model, shape, b[None]), arr) for shape, arr in vec.items()}
 
 
-def _word_means(comp: dict, pair: AlgebraPair, j: int) -> np.ndarray:
-    """mu_t(w) over the words w of length j <= the truncation, as a
-    (k^2)^j x d x d table: the embedded first letter times level j."""
-    d = pair.d
-    tails = comp["levels"][j].reshape(1, -1, d, d)
-    return (pair.embedded_units[:, None] @ tails).reshape(-1, d, d)
-
-
-def _boolean_terms(model, name, shape, arr, t):
-    """Operators on centered word labels: the key (t, w) stands for the
-    vector w - mu_t(w) vacuum, which is orthogonal to the vacuum.  Left
-    coefficient multiplication maps centered labels to centered labels, the
-    creation vector xi is exactly the centered X, and the transfer part picks
-    up a centered degree-one correction instead of a vacuum return.  Words
-    past the truncation, which only an operator_matrix basis capped above it
-    holds, read its missing levels as zero."""
-    comp, k = model.components[t], model.pair.k
-    if not shape:
-        if name == "create":
-            yield (t, 1), _prepend(k, arr)
-        elif name == "gauge":
-            yield (), _lmul(comp["levels"][1][None], arr)
-        return
-    tag, j = shape
-    if tag != t:
-        return
-    if name == "transfer" and j < model.depth:
-        yield (t, j + 1), _prepend(k, arr)
-    if j not in comp["levels"]:
-        return
-    if name == "annihilate":
-        # centered return mu(Xw) - mu(X) mu(w)
-        q = -(comp["levels"][1] @ _word_means(comp, model.pair, j))
-        if j + 1 in comp["levels"]:
-            q += comp["levels"][j + 1].reshape(q.shape)
-        yield (), _lmul(q, arr, j)
-    elif name == "transfer":
-        yield (t, 1), -_prepend(k, _lmul(_word_means(comp, model.pair, j), arr, j))
-
-
 def _h_terms(model, name, shape, arr, t):
     """A free operator of component t on the H-tensor of a shape: the free
     model's operators, and the c-free H side on its first and third
@@ -403,32 +370,39 @@ def _h_terms(model, name, shape, arr, t):
             yield wrap(((t, j + 1),) + hs[1:]), _prepend(k, arr)
 
 
-def _k_terms(model, name, shape, arr, t):
-    """The c-free K-leg operators of component t: they act on the theta
-    vacuum and on K-leg words with nothing on the H side."""
-    comp, k = model.components[t], model.pair.k
-    if shape == ("O",):
-        if name == "k_create" and model.depth >= 1:
-            yield ("K", (), (t, 1)), _prepend(k, arr)
-        elif name == "gauge_k":
-            yield shape, _lmul(comp["ckd"][1][None], arr)
-    elif shape[0] == "K" and not shape[1] and shape[2][0] == t:
-        j = shape[2][1]
-        if name == "k_annihilate" and j + 1 in comp["ckd"]:
-            table = comp["ckd"][j + 1].reshape(-1, model.pair.d, model.pair.d)
-            yield ("O",), _lmul(table, arr, j)
-        elif name == "k_insert" and j < model.depth:
-            yield ("K", (), (t, j + 1)), _prepend(k, arr)
+def _leg_terms(model, name, shape, arr, t):
+    """The one-particle operators of component t on C + H_sigma, from its
+    table ckd: create (vacuum to word 1), gauge (level 1 on the vacuum),
+    annihilate (word j to the vacuum through level j + 1, zero past the
+    table) and transfer (word j to word j + 1).  The vacuum and word j are
+    () and (t, j) in a boolean model, ('O',) and ('K', (), (t, j)) on the
+    c-free K leg, which so acts only where the H side is empty."""
+    table, k = model.components[t]["ckd"], model.pair.k
+    if model.kind == "boolean":
+        vacuum, word = (), lambda j: (t, j)
+    else:
+        vacuum, word = ("O",), lambda j: ("K", (), (t, j))
+    if shape == vacuum:
+        if name == "create" and model.depth >= 1:
+            yield word(1), _prepend(k, arr)
+        elif name == "gauge":
+            yield vacuum, _lmul(table[1][None], arr)
+        return
+    j = _letters(shape)
+    if shape != word(j):
+        return
+    if name == "annihilate" and j + 1 in table:
+        yield vacuum, _lmul(table[j + 1].reshape(-1, model.pair.d, model.pair.d), arr, j)
+    elif name == "transfer" and j < model.depth:
+        yield word(j + 1), _prepend(k, arr)
 
 
 def apply_op(model: FockModel, name: str, vec: dict, component: int = 0) -> dict:
     """Apply one structural operator of a component to a vector."""
     if name not in [op for op, _ in _OPS[model.kind]]:
         raise NCIDError(f"unknown {model.kind} operator {name!r}")
-    if model.kind == "boolean":
-        terms = _boolean_terms
-    elif model.kind == "cfree" and name not in _H_SIDE:
-        terms = _k_terms
+    if model.kind == "boolean" or name in _K_LEG:
+        terms, name = _leg_terms, _K_LEG.get(name, name)
     else:
         terms, name = _h_terms, _H_SIDE.get(name, name)
     out: dict = {}
@@ -451,8 +425,8 @@ def apply_generator(model: FockModel, vec: dict, component=None) -> dict:
 
 
 def extract_state(model: FockModel, vec: dict, state: str = "phi") -> np.ndarray:
-    """The state's value: the vacuum coordinate, in D (boolean centered
-    labels are orthogonal to the vacuum)."""
+    """The state's value: the vacuum coordinate, in D (every word key,
+    boolean or not, is orthogonal to the vacuum)."""
     v = _coord_dim(model)
     value = vec.get(_vacuum(model, state), np.zeros((v, v), dtype=complex))
     return model.pair.embed(value) if model.kind == "free" else value
@@ -515,19 +489,19 @@ def operator_matrix(model: FockModel, name: str, cap: int, component: int = 0):
 def gram_matrix(model: FockModel, cap: int):
     """Gram matrix of the basis keys under the model's inner product.
 
-    Boolean: the centered pairing <w', w> = mu(w'* w) - mu(w')* mu(w) within
-    a component; the vacuum block is the identity and everything mixed or
-    cross-component is 0.  Free: keys whose factor tags differ are
-    orthogonal, and <f1 K, f1' K'> = <K, P[f1, f1'] K'>, where P is the
-    sigma-pairing of the first factors and multiplies K' on its front row.
-    So the block of a pair of shapes is P's block of their first factors
-    contracted with the block of the rest.
+    Boolean: the K leg's word Gram, the sigma-pairing <w', w> of the
+    component's table within a component, the vacuum block the identity and
+    everything mixed or cross-component 0.  Free: keys whose factor tags
+    differ are orthogonal, and <f1 K, f1' K'> = <K, P[f1, f1'] K'>, where P
+    is the sigma-pairing of the first factors and multiplies K' on its front
+    row.  So the block of a pair of shapes is P's block of their first
+    factors contracted with the block of the rest.
     """
     if model.kind == "cfree":
         raise NCIDError("gram_matrix supports boolean and free models")
     v, k = _coord_dim(model), model.pair.k
-    # the matrix, and at most two of its size beside it: the boolean centering
-    # term with the blocks it is taken from, or hermitian_gram's adjoint
+    # the matrix and at most two of its size: hermitian_gram's adjoint, and the
+    # free branch's sigma-pairings (at most one entry per key pair) and blocks
     shapes, starts, n = _layout(model, cap, copies=3)
     words = word_family(k, range(1, cap + 1))
     mat, blocks = gram_arrays(n, v)
@@ -536,11 +510,7 @@ def gram_matrix(model: FockModel, cap: int):
         for t, comp in enumerate(model.components):
             idx = [i for shape, start in zip(shapes, starts) if shape and shape[0] == t
                    for i in range(start, start + k ** (2 * shape[1]))]
-            if not idx:
-                continue
-            _word_blocks(blocks, comp["levels"], words, idx, k)
-            means = np.concatenate([_word_means(comp, model.pair, j) for j in range(1, cap + 1)])
-            blocks[np.ix_(idx, idx)] -= np.einsum("iba,jbc->ijac", means.conj(), means)
+            _word_blocks(blocks, comp["ckd"], words, idx, k)
         return hermitian_gram(mat), fock_basis(model, cap)
 
     pairing = []

@@ -301,15 +301,15 @@ def _worst(residuals, probes: int, m: int, pair: AlgebraPair, top: int, points: 
     m * k2**(top-2) * d**2 entries and, in a check, at most 2 m + 8 block
     matrices of (m d)**2 entries (the Cauchy check's Laurent orders).  A
     probe too large to share a group is evaluated alone, as every probe was
-    before the checks were batched.  As in a running max() from 0, a NaN
-    residual never wins.
+    before the checks were batched.  A residual that is not finite makes
+    the result NaN, which _report refuses.
     """
     per = 16 * points * m * pair.d**2 * (2 * pair.k ** (2 * max(top - 2, 0)) + (2 * m + 8) * m)
     size = max(1, MAX_GENERATE_BYTES // per)
-    worst = 0.0
+    errs = []
     for start in range(0, max(probes, 0), size):
-        worst = max(worst, *residuals(slice(start, start + size)))
-    return worst
+        errs += residuals(slice(start, start + size))
+    return max(errs, default=0.0) if np.isfinite(errs).all() else float("nan")
 
 
 def _require_order(what: str, order: int, need: int, stored: int) -> None:
@@ -324,6 +324,8 @@ def _require_order(what: str, order: int, need: int, stored: int) -> None:
 
 
 def _report(identity: str, order: int, seed: int, probes: int, worst: float, tol: float):
+    if not np.isfinite(worst):
+        raise NCIDError(f"{identity} check at order {order}: a residual is not finite")
     return {
         "identity": identity,
         "order": order,

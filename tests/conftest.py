@@ -18,6 +18,9 @@ from ncid.distribution import (
 SEMICIRCLE_MOMENTS = (0.0, 1.0, 0.0, 2.0, 0.0, 5.0)
 BERNOULLI_MOMENTS = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
 FREE_POISSON_MOMENTS = (1.0, 2.0, 5.0, 14.0, 42.0, 132.0)
+# a law whose scale s = 1e150 puts s**6, and its products of moments, past
+# the float range
+OVERFLOW_MOMENTS = (0.0, 1e300, 0.0, 2e300, 0.0, 5e300)
 
 
 def relerr(a, b) -> float:

@@ -14,7 +14,7 @@ from ncid import cli
 from ncid.algebra import AlgebraPair
 from ncid.serialize import dumps, functional_to_json
 
-from conftest import zero_law
+from conftest import OVERFLOW_MOMENTS, zero_law
 
 CLI = [sys.executable, "-m", "ncid.cli"]
 
@@ -386,6 +386,23 @@ def test_law_that_is_not_star_compatible_exits_1(tmp_path):
         assert out.returncode == 1
         assert json.loads(out.stdout)["error"]["type"] == "NotHermitian"
         assert out.stderr == ""
+
+
+def test_a_law_past_the_float_range_gives_json_not_a_traceback(tmp_path):
+    path = write_scalar(tmp_path, "big.json", OVERFLOW_MOMENTS)
+    codes = {}
+    for argv in (
+        ["check", "--identity", "B", path],
+        ["certify", "--kind", "boolean", "--degree", "2", path],
+        ["cumulants", "--kind", "boolean", "--in", path],
+    ):
+        out = run_cli(*argv)
+        assert out.returncode in (0, 1, 2), out.stderr
+        assert isinstance(json.loads(out.stdout), dict)
+        assert "Traceback" not in out.stderr
+        codes[argv[0]] = out.returncode
+    # its evaluations overflow, so the identity check must not pass
+    assert codes["check"] == 1
 
 
 def test_thread_cap_env(semi_path):

@@ -249,6 +249,24 @@ def test_cfree_equals_free_when_laws_coincide(law, nu22, pair24):
         assert relerr(cf.levels[n], fr.levels[n]) < 1e-11
 
 
+@pytest.mark.parametrize("k, d, trunc", [(1, 1, 8), (2, 2, 5), (2, 4, 4)])
+def test_cfree_against_delta_0_is_boolean(k, d, trunc):
+    """Boolean independence is c-freeness against delta_0 (the zero law):
+    the c-free cumulants of (mu, delta_0) are mu's boolean cumulants, and
+    moments_from_cfree against delta_0 gives mu back, to 1e-12 s**n at level
+    n with s the largest ||m_n||**(1/n), as in test_invariance."""
+    pair = AlgebraPair.identity(k) if k == d else AlgebraPair.block_diagonal(k, d)
+    mu = generate_realizable(29, pair, trunc, ambient=2 * d)
+    delta0 = zero_law(pair, trunc)
+    s = max(np.linalg.norm(mu.levels[n]) ** (1 / n) for n in mu.levels)
+    fam = cfree_from_moments(mu, delta0)
+    want = boolean_from_moments(mu).levels
+    back = moments_from_cfree(fam, delta0).levels
+    for n in range(1, trunc + 1):
+        assert np.abs(fam.levels[n] - want[n]).max() <= 1e-12 * s**n
+        assert np.abs(back[n] - mu.levels[n]).max() <= 1e-12 * s**n
+
+
 def test_functional_of_checks_kind(nu22):
     fam = free_from_moments(nu22)
     with pytest.raises(NCIDError):

@@ -29,7 +29,7 @@ from ncid.errors import (
     TruncationExceeded,
 )
 
-from conftest import SEMICIRCLE_MOMENTS, rand_b, relerr
+from conftest import OVERFLOW_MOMENTS, SEMICIRCLE_MOMENTS, rand_b, relerr
 
 
 def test_level_shape():
@@ -90,6 +90,11 @@ def test_star_residual_matches_the_slot_by_slot_reference(k, d):
     with pytest.raises(NotHermitian):
         MomentFunctional(pair, 5, noisy).check_star()
     law.check_star()
+
+
+def test_check_star_reads_a_threshold_past_the_float_range_as_infinite():
+    # DEFAULT_TOL * s**6 with s = 1e150 overflows; it must neither raise nor warn
+    scalar_from_moments(OVERFLOW_MOMENTS).check_star()
 
 
 def test_check_star_bounds_level_n_by_the_laws_scale_to_the_n(pair22):

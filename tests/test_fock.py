@@ -121,6 +121,27 @@ def test_boolean_model_reproduces_moments(semicircle, mu22, mu24):
             assert relerr(model_moment(model, bs[:n]), mf.eval_word(bs[:n])) < 1e-10
 
 
+@pytest.mark.parametrize("ncomp", [1, 2])
+@pytest.mark.parametrize("pair", [AlgebraPair.identity(2), AlgebraPair.block_diagonal(2, 4)],
+                         ids=["identity22", "block24"])
+def test_boolean_model_is_the_cfree_k_leg_against_delta_0(pair, ncomp):
+    """Boolean independence is c-freeness against delta_0: a c-free model
+    with a zero free side and the boolean Levy-Hincin data of each law as
+    its c-free side has the boolean model's moments as its theta moments."""
+    k = pair.k
+    mus = [generate_realizable(seed, pair, 5, ambient=8) for seed in (11, 12)[:ncomp]]
+    zero = SigmaForm(pair, "B", 3, {m: np.zeros((k * k,) * (m + 1) + (k, k)) for m in range(4)})
+    cmodel = cfree_sum_model([(np.zeros((k, k)), zero, *levy_hincin_extract("boolean", mu))
+                              for mu in mus])
+    bmodel = boolean_sum_model(mus)
+    assert cmodel.depth == bmodel.depth == 5
+    bs = rand_words(6, k, 5)
+    for n in range(6):
+        for comps in (None, [i % ncomp for i in range(n)]):
+            got = model_moment(cmodel, bs[:n], state="theta", components=comps)
+            assert relerr(got, model_moment(bmodel, bs[:n], components=comps)) <= 1e-14
+
+
 def conjugated_pair(k: int, seed: int) -> AlgebraPair:
     """B = D = M_k with the embedding b -> q b q^* for a random unitary q."""
     rng = np.random.default_rng(seed)

@@ -8,6 +8,9 @@ against s**n at level n, with s the largest ||m_n||**(1/n) of the laws'
 moments (a Frobenius norm, so conjugation leaves it alone): a level's own
 largest entry is the wrong scale, since a cumulant level can be rounding
 noise of the levels below it.
+
+The boolean Fock model of each law gives back its moments, to the same
+tolerance at s**n times the norms of the word's coefficients.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from ncid.algebra import AlgebraPair
 from ncid.cumulants import KINDS, CumulantFamily, family_of, moments_of
 from ncid.distribution import MomentFunctional, generate_realizable
+from ncid.fock import build_boolean, model_moment
 
 from conftest import bvalued_realizable, conjugate, dilate
 
@@ -79,3 +83,19 @@ def test_families_follow_unitary_conjugation(case, seed):
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
     assert_families_follow(mu, nu, lambda law: conjugate(law, u), s)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(laws(), st.integers(0, 10**6))
+def test_boolean_models_give_back_the_moments(case, seed):
+    mu, nu, s = case
+    k = mu.pair.k
+    rng = np.random.default_rng(seed)
+    bs = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+          for _ in range(mu.truncation)]
+    for law in (mu, nu):
+        model = build_boolean(law)
+        for n in range(mu.truncation + 1):
+            scale = s**n * np.prod([np.linalg.norm(b) for b in bs[:n]])
+            err = np.abs(model_moment(model, bs[:n]) - law.eval_word(bs[:n])).max()
+            assert err <= TOL * scale

@@ -10,7 +10,7 @@ from ncid import ncfunctions
 from ncid.algebra import AlgebraPair
 from ncid.certify import levy_hincin_extract, levy_hincin_reconstruct
 from ncid.cumulants import boolean_from_moments, cfree_from_moments, free_from_moments
-from ncid.distribution import MomentFunctional, generate_realizable
+from ncid.distribution import MomentFunctional, generate_realizable, scalar_from_moments
 from ncid.errors import (
     DimensionMismatch,
     NCIDError,
@@ -36,6 +36,7 @@ from ncid.ncfunctions import (
 )
 
 from conftest import (
+    OVERFLOW_MOMENTS,
     bvalued_realizable,
     check_cauchy_relation_by_point,
     check_identity_by_point,
@@ -192,6 +193,12 @@ def test_cfree_identity_holds(mu22, nu22):
     res = check_identity("cR", mu22, nu22, order=4, probes=10)
     assert res["pass"], res
     assert res["residual"] <= 1e-10
+
+
+def test_a_check_whose_residuals_overflow_is_refused():
+    law = scalar_from_moments(OVERFLOW_MOMENTS)
+    with np.errstate(all="ignore"), pytest.raises(NCIDError, match="B check at order 4"):
+        check_identity("B", law, order=4)
 
 
 def test_identity_input_validation(mu22):

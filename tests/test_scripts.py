@@ -53,8 +53,9 @@ def test_cli_digest_smoke():
     lines = [line.split(" ", 2) for line in out.stdout.splitlines()]
     # the boolean chain and its six tensor files reloaded; two laws at
     # truncation 5, two pair files and the free and c-free steps, with their
-    # ten tensor files reloaded; six identities; one selftest
-    assert len(lines) == (8 + 6) + (4 + 10 + 10) + 6 + 1
+    # ten tensor files reloaded; six identities; the overflow law and three
+    # subcommands on it; one selftest
+    assert len(lines) == (8 + 6) + (4 + 10 + 10) + 6 + 4 + 1
     assert all(len(digest) == 64 and code in ("0", "1", "2") for digest, code, _ in lines)
     digests = {label: (digest, code) for digest, code, label in lines}
     reloaded = [label for label in digests if label.endswith(" reloaded")]
@@ -72,6 +73,12 @@ def test_cli_digest_smoke():
             assert digests[f"seeds 3 4: {kind} {step}"][1] in ("0", "2")
     for label in reloaded:  # writing inverts loading on every tensor file of the chain
         assert digests[label] == digests[label.removesuffix(" reloaded")]
+    # the overflow law's check is refused, and no subcommand on it crashes
+    assert [label for _, _, label in lines[-5:-1]] == [
+        "overflow law", "overflow law: check B", "overflow law: certify boolean",
+        "overflow law: cumulants boolean",
+    ]
+    assert digests["overflow law: check B"][1] == "1"
     law = generate_realizable(3, AlgebraPair.identity(1), 4, 2)
     text = dumps(functional_to_json(law)) + "\n"
     assert lines[0] == [hashlib.sha256(text.encode()).hexdigest(), "0", "seeds 3 4: gen a"]
