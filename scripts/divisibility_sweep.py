@@ -27,10 +27,7 @@ def main() -> None:
     ap.add_argument("--root-n", type=int, default=3)
     args = ap.parse_args()
 
-    if args.k == args.d:
-        pair = AlgebraPair.identity(args.k)
-    else:
-        pair = AlgebraPair.block_diagonal(args.k, args.d)
+    pair = AlgebraPair.block_diagonal(args.k, args.d)
 
     print(f"pair ({args.k},{args.d})  trunc {args.trunc}  degree {args.degree}")
     print(f"{'seed':>4}  {'bool-root min eig':>18}  {'free min eig':>14}  free?")

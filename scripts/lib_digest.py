@@ -20,6 +20,10 @@ mu_c over nu.  From them it digests:
   check_cauchy_relation, check_nc_function_axioms and tensor_compatibility
   (n = 2) of mu.
 
+After the pairs come the boolean certificates at degrees 2 and 3 of the
+scalar law with moments (0, 1e300, 0, 2e300, 0, 5e300), whose level 2
+squared passes the float range.
+
 Each line reads `<sha256> <label>`.  An array is digested with its dtype and
 shape, a certificate as its JSON, and an output that raises as its error
 type and message.  Run it once per source tree and compare the listings:
@@ -82,7 +86,7 @@ def outputs(k: int, d: int, trunc: int):
     from ncid.cumulants import moments_from_cfree, moments_from_free
     from ncid.distribution import generate_realizable
 
-    pair = AlgebraPair.identity(k) if k == d else AlgebraPair.block_diagonal(k, d)
+    pair = AlgebraPair.block_diagonal(k, d)
     rng = np.random.default_rng(100 * k + d)
 
     def hermitian(m):
@@ -180,6 +184,17 @@ def outputs(k: int, d: int, trunc: int):
                     check, order=order, seed=seed), check_args
 
 
+def overflow_outputs():
+    """(label, function, arguments) of the overflow law's certificates."""
+    cert = importlib.import_module("ncid.certify")
+    from ncid.distribution import scalar_from_moments
+
+    law = scalar_from_moments((0, 1e300, 0, 2e300, 0, 5e300))
+    for degree in (2, 3):
+        yield f"overflow law: certify boolean at degree {degree}", cert.certify, (
+            "boolean", law, degree)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="source tree holding ncid/")
@@ -188,13 +203,18 @@ def main() -> None:
     sys.path.insert(0, str(args.src.resolve()))
     from ncid.errors import NCIDError
 
-    for k, d in PAIRS:
-        for label, fn, fn_args in outputs(k, d, args.trunc):
-            try:
-                value = fn(*fn_args)
-            except NCIDError as exc:
-                value = f"{type(exc).__name__}: {exc}"
-            print(digest(value), f"(k, d) = ({k}, {d}): {label}", flush=True)
+    def listing():
+        for k, d in PAIRS:
+            for label, fn, fn_args in outputs(k, d, args.trunc):
+                yield f"(k, d) = ({k}, {d}): {label}", fn, fn_args
+        yield from overflow_outputs()
+
+    for label, fn, fn_args in listing():
+        try:
+            value = fn(*fn_args)
+        except NCIDError as exc:
+            value = f"{type(exc).__name__}: {exc}"
+        print(digest(value), label, flush=True)
 
 
 if __name__ == "__main__":

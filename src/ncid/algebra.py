@@ -129,8 +129,7 @@ class AlgebraPair:
 
     @classmethod
     def identity(cls, k: int) -> "AlgebraPair":
-        check_pair_size(k, k)
-        return cls(k=k, d=k, embed_matrix=np.eye(k * k, dtype=np.complex128))
+        return cls.block_diagonal(k, k)
 
     @classmethod
     def block_diagonal(cls, k: int, d: int) -> "AlgebraPair":
@@ -164,7 +163,7 @@ class AlgebraPair:
         b = np.asarray(b, dtype=np.complex128)
         if b.shape != (self.k, self.k):
             raise DimensionMismatch(f"expected ({self.k},{self.k}) element of B, got {b.shape}")
-        return (self.embed_matrix @ b.reshape(-1)).reshape(self.d, self.d)
+        return self.embed_tensor(b)
 
     def embed_tensor(self, t: np.ndarray) -> np.ndarray:
         """Apply the embedding to the trailing (k,k) value axes of a tensor."""
@@ -180,11 +179,7 @@ class AlgebraPair:
         m = np.asarray(m, dtype=np.complex128)
         if m.shape != (self.d, self.d):
             raise DimensionMismatch(f"expected ({self.d},{self.d}) element of D, got {m.shape}")
-        v = self._pullback_matrix @ m.reshape(-1)
-        resid = cnorm(self.embed_matrix @ v - m.reshape(-1))
-        if resid > tol * max(1.0, cnorm(m)):
-            raise NotBValued(f"element is {resid:.3e} away from the embedded copy of B")
-        return v.reshape(self.k, self.k)
+        return self.pullback_tensor(m, tol)
 
     def pullback_tensor(self, t: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         t = np.asarray(t, dtype=np.complex128)

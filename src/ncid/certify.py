@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, psd_floor
+from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, cnorm, psd_floor
 from .cumulants import CumulantFamily, families, functional_of, values_in
 from .distribution import MAX_GENERATE_BYTES, MomentFunctional, _checked_levels
 from .errors import CertificateFailed, DimensionMismatch, NCIDError, TooLarge, TruncationExceeded
@@ -212,16 +212,23 @@ def _judge(kind, degree, phi: MomentFunctional, no_free_term: bool, tol) -> Cert
 
     S = diag(s^-len(word)), bare units having length 0, with s the square
     root of the Frobenius norm of phi's level 2, or 1 where that is 0 (for
-    k = d = 1 it is |phi(X^2)|).  Entries pairing words of lengths j and l
-    scale as lambda^(j+l) under the dilation X -> lambda X, and s as lambda,
-    so S G S and its floor do not move with lambda.  Unitary conjugation in
-    B leaves the Frobenius norm, and so S G S's spectrum, as it is; the
+    k = d = 1 it is |phi(X^2)|).  Where the squares of level 2 pass the
+    float range, its norm is taken divided by its largest entry, then
+    multiplied back.  Entries pairing words of lengths j and l scale as
+    lambda^(j+l) under the dilation X -> lambda X, and s as lambda, so
+    S G S and its floor do not move with lambda.  Unitary conjugation in B
+    leaves the Frobenius norm, and so S G S's spectrum, as it is; the
     entrywise max would move.  By Sylvester's law of inertia the exact
     verdict is that of G.  The witness is mapped back through S, so its
     quadratic_form is the value of G's own form at its coeffs.
     """
     mat, family = gram(phi, degree, no_free_term)
-    s = np.sqrt(np.linalg.norm(phi.raw(2))) or 1.0
+    level2 = phi.raw(2)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(level2)
+    if not np.isfinite(norm):
+        norm = cnorm(level2) * np.linalg.norm(level2 / cnorm(level2))
+    s = np.sqrt(norm) or 1.0
     lengths = np.array([len(w) if isinstance(w, tuple) else 0 for w in family], dtype=float)
     grade = np.repeat(s**-lengths, mat.shape[0] // len(family))
     mat *= grade[:, None]
@@ -278,18 +285,25 @@ def certify(kind: str, data, degree: int, tol: float = DEFAULT_TOL) -> Certifica
     return _certify_families(kind, families(kind, data), degree, tol)
 
 
+def _levy_hincin_table(alpha, sigma: SigmaForm) -> dict:
+    """The Levy-Hincin shift: data (alpha, sigma) as one table of n-letter
+    words, alpha at level 1 and sigma level m at m + 2, values as stored."""
+    return {1: alpha, **{m + 2: lev for m, lev in sigma.levels.items()}}
+
+
 def family_from_levy_hincin(kind, alpha, sigma) -> CumulantFamily:
     """The cumulant family of the divisible law with data (alpha, sigma):
-    alpha, then sigma level m at m + 2, B values embedded and D values
-    shared.  Free data needs a B-valued sigma (DimensionMismatch)."""
-    if values_in(kind) == "B" and sigma.values_in != "B":
+    _levy_hincin_table with B values embedded and D values shared.  Free
+    data needs a B-valued sigma (DimensionMismatch)."""
+    where = values_in(kind)
+    if where == "B" and sigma.values_in != "B":
         raise DimensionMismatch(f"{kind} Levy-Hincin data needs a B-valued sigma form")
     pair = sigma.pair
-    alpha = np.asarray(alpha, dtype=complex)
-    levels = {1: pair.embed(alpha) if values_in(kind) == "B" else alpha}
-    for m, lev in sigma.levels.items():
-        levels[m + 2] = pair.embed_tensor(lev) if sigma.values_in == "B" else lev
-    return CumulantFamily(kind=kind, pair=pair, truncation=sigma.truncation + 2, levels=levels)
+    table = _levy_hincin_table(np.asarray(alpha, dtype=complex), sigma)
+    if sigma.values_in == "B":  # alpha is in B exactly for a B-valued kind
+        table = {n: t if n == 1 and where == "D" else pair.embed_tensor(t)
+                 for n, t in table.items()}
+    return CumulantFamily(kind=kind, pair=pair, truncation=sigma.truncation + 2, levels=table)
 
 
 def certify_levy_hincin(kind: str, alpha, sigma: SigmaForm) -> Certificate:
@@ -323,14 +337,9 @@ def levy_hincin_extract(kind: str, data, tol: float = DEFAULT_TOL):
                 f"min eigenvalue {cert.min_eig:.3e}",
                 certificate=cert,
             )
-    pair, where = fam.pair, values_in(kind)
-    levels = {m: fam.levels[m + 2] for m in range(fam.truncation - 1)}
-    alpha = fam.levels[1]
-    if where == "B":
-        alpha = pair.pullback(alpha)
-        levels = {m: pair.pullback_tensor(lev) for m, lev in levels.items()}
-    sig = SigmaForm(pair=pair, values_in=where, truncation=fam.truncation - 2, levels=levels)
-    return alpha, sig
+    where = values_in(kind)
+    alpha = fam.pair.pullback(fam.levels[1]) if where == "B" else fam.levels[1]
+    return alpha, SigmaForm.from_bordered(functional_of(kind, fam), where)
 
 
 def levy_hincin_reconstruct(kind: str, alpha, sigma: SigmaForm, point):

@@ -150,10 +150,7 @@ def _run_gen(args) -> int:
         raise UsageError("need 1 <= k dividing d")
     if args.m is not None and args.m < 1:
         raise UsageError("need --m >= 1")
-    if args.k == args.d:
-        pair = AlgebraPair.identity(args.k)
-    else:
-        pair = AlgebraPair.block_diagonal(args.k, args.d)
+    pair = AlgebraPair.block_diagonal(args.k, args.d)
     ambient = args.m if args.m is not None else 2 * args.d
     # Refuse before computing a law whose text would pass the byte budget,
     # estimated at the longest entry text: [re,im] of two 24-byte '%.17g'

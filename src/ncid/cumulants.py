@@ -31,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import AlgebraPair
-from .distribution import MomentFunctional, _checked_levels, contract_units, level_shape
-from .errors import DimensionMismatch, NCIDError, PairMismatch, TooLarge, TruncationExceeded
+from .distribution import MomentFunctional, _checked_table, level_shape
+from .errors import NCIDError, PairMismatch, TooLarge, TruncationExceeded
 
 KINDS = ("boolean", "free", "cfree")
 
@@ -59,12 +59,7 @@ class CumulantFamily:
 
     def __post_init__(self):
         check_kind(self.kind)
-        if self.truncation < 1:
-            raise DimensionMismatch("truncation must be >= 1")
-        k, d = self.pair.k, self.pair.d
-        lv = _checked_levels("cumulant", self.levels, range(1, self.truncation + 1),
-                             lambda n: level_shape(k, d, n))
-        object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "levels", _checked_table("cumulant", self))
 
     def evaluate(self, args) -> np.ndarray:
         """Cumulant of degree len(args) at B-elements, value in D."""
@@ -73,8 +68,7 @@ class CumulantFamily:
             raise TruncationExceeded(
                 f"cumulant of degree {n} outside stored range 1..{self.truncation}"
             )
-        core = contract_units(self.levels[n], args[: n - 1])
-        return core @ self.pair.embed(args[n - 1])
+        return functional_of(self.kind, self).eval_word(args)
 
     def scaled(self, factor: complex) -> "CumulantFamily":
         return CumulantFamily(
@@ -241,8 +235,9 @@ def _check_recursion_work(pair: AlgebraPair, trunc: int) -> None:
                        f"{trunc} pass the work budget {MAX_RECURSION_WORK}")
 
 
-def _pullback_levels(nu: MomentFunctional) -> dict:
-    return {n: nu.pair.pullback_tensor(nu.raw(n)) for n in range(1, nu.truncation + 1)}
+def _pullback_levels(table) -> dict:
+    """The levels of a moment or cumulant table, pulled back into B."""
+    return {n: table.pair.pullback_tensor(t) for n, t in table.levels.items()}
 
 
 def _cumulant_levels(mu_levels, nub, pair, trunc) -> dict:
@@ -277,7 +272,7 @@ def moments_from_free(fam: CumulantFamily) -> MomentFunctional:
     if fam.kind != "free":
         raise NCIDError(f"expected a free family, got {fam.kind!r}")
     pair = fam.pair
-    kb = {n: pair.pullback_tensor(t) for n, t in fam.levels.items()}
+    kb = _pullback_levels(fam)
     nub = _moment_levels(kb, None, AlgebraPair.identity(pair.k), fam.truncation)
     levels = {n: pair.embed_tensor(t) for n, t in nub.items()}
     return MomentFunctional(pair=pair, truncation=fam.truncation, levels=levels)

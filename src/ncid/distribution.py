@@ -57,6 +57,16 @@ def _checked_levels(what: str, levels: dict, ns, shape_of) -> dict:
     return out
 
 
+def _checked_table(what: str, table) -> dict:
+    """The levels 1..truncation of a moment or cumulant table as
+    _checked_levels checks them; DimensionMismatch for a truncation below 1."""
+    if table.truncation < 1:
+        raise DimensionMismatch("truncation must be >= 1")
+    k, d = table.pair.k, table.pair.d
+    return _checked_levels(what, table.levels, range(1, table.truncation + 1),
+                           lambda n: level_shape(k, d, n))
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PolynomialWord:
     """The monomial b_0 X b_1 X ... X b_n; degree = number of X letters."""
@@ -97,12 +107,7 @@ class MomentFunctional:
     levels: dict
 
     def __post_init__(self):
-        if self.truncation < 1:
-            raise DimensionMismatch("truncation must be >= 1")
-        k, d = self.pair.k, self.pair.d
-        lv = _checked_levels("moment", self.levels, range(1, self.truncation + 1),
-                             lambda n: level_shape(k, d, n))
-        object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "levels", _checked_table("moment", self))
 
     def raw(self, n: int) -> np.ndarray:
         if n < 1 or n > self.truncation:
@@ -190,7 +195,7 @@ def _representation_frame(pair: AlgebraPair, m: int, rng: np.random.Generator):
     to the embedding."""
     k, d = pair.k, pair.d
     r = d // k
-    p11 = pair.embed(pair.units[0])
+    p11 = pair.embedded_units[0]
     # Orthonormal basis of range(embed(e11)), a rank d/k projection.
     vals, vecs = np.linalg.eigh((p11 + adjoint(p11)) / 2.0)
     base = vecs[:, vals > 0.5]
@@ -198,10 +203,7 @@ def _representation_frame(pair: AlgebraPair, m: int, rng: np.random.Generator):
         raise DimensionMismatch("embedding projection rank mismatch")
     u = np.zeros((d, d), dtype=np.complex128)
     for i in range(k):
-        ei1 = np.zeros((k, k), dtype=np.complex128)
-        ei1[i, 0] = 1.0
-        block = pair.embed(ei1) @ base
-        u[:, i * r : (i + 1) * r] = block
+        u[:, i * r : (i + 1) * r] = pair.embedded_units[i * k] @ base  # embed(e_i1)
     g = rng.standard_normal((m // k, r)) + 1j * rng.standard_normal((m // k, r))
     w, _ = np.linalg.qr(g)
     v = np.kron(np.eye(k, dtype=np.complex128), w) @ adjoint(u)

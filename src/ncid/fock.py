@@ -58,6 +58,7 @@ import numpy as np
 from .algebra import AlgebraPair, require_hermitian
 from .certify import (
     SigmaForm,
+    _levy_hincin_table,
     _word_blocks,
     certify,
     certify_levy_hincin,
@@ -131,16 +132,14 @@ def _model(kind: str, pair: AlgebraPair, comps: list, depth) -> FockModel:
 
 def _side(pair: AlgebraPair, alpha, sigma: SigmaForm, kind: str, what: str) -> dict:
     """One (alpha, sigma) side of a free or c-free component, gated on its
-    certificate (which checks alpha's shape), as its cumulant table: alpha
-    at level 1 and sigma level m at m + 2, the Levy-Hincin shift."""
+    certificate (which checks alpha's shape), as its cumulant table: the
+    Levy-Hincin shift of the data, values as stored."""
     if sigma.values_in != values_in(kind):
         raise DimensionMismatch(f"{what} sigma form must be {values_in(kind)}-valued")
     if not pair.same_pair(sigma.pair):
         raise DimensionMismatch("model components over different pairs")
     _gate(certify_levy_hincin(kind, alpha, sigma), f"{what} data")
-    table = {1: require_hermitian(alpha)}
-    table.update((m + 2, lev) for m, lev in sigma.levels.items())
-    return table
+    return _levy_hincin_table(require_hermitian(alpha), sigma)
 
 
 def boolean_sum_model(mus, depth: int | None = None) -> FockModel:

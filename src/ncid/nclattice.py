@@ -149,15 +149,10 @@ def moebius(sigma: NCPartition, pi: NCPartition) -> int:
 
 
 def classify_blocks(pi: NCPartition) -> tuple:
-    """Per-block 'interior'/'exterior' labels, aligned with pi.blocks."""
-    labels = []
-    for i, b in enumerate(pi.blocks):
-        interior = any(
-            j != i and min(other) < min(b) and max(b) < max(other)
-            for j, other in enumerate(pi.blocks)
-        )
-        labels.append("interior" if interior else "exterior")
-    return tuple(labels)
+    """Per-block 'interior'/'exterior' labels, aligned with pi.blocks: a
+    block is exterior exactly when it heads a nesting component."""
+    outer = {blk for blk, _ in _components(pi.blocks)}
+    return tuple("exterior" if b in outer else "interior" for b in pi.blocks)
 
 
 def _components(blocks):

@@ -27,7 +27,7 @@ import re
 import numpy as np
 
 from .algebra import AlgebraPair, check_pair_size
-from .cumulants import KINDS, CumulantFamily, values_in
+from .cumulants import KINDS, CumulantFamily, functional_of, values_in
 from .distribution import MomentFunctional, level_shape
 from .errors import DimensionMismatch, NCIDError
 
@@ -212,44 +212,44 @@ def pair_from_json(data: dict) -> AlgebraPair:
     return pair
 
 
-def _levels_to_json(levels: dict, trunc: int) -> dict:
-    return {str(n): tensor_to_json(levels[n]) for n in range(1, trunc + 1)}
+def _levels_to_json(levels: dict) -> dict:
+    """A checked level table (moments, a family or sigma), level by level."""
+    return {str(n): tensor_to_json(t) for n, t in levels.items()}
 
 
-def _levels_from_json(data, pair: AlgebraPair, trunc: int) -> dict:
-    if not isinstance(data, dict):
-        raise DimensionMismatch("moment table must be an object")
+def _levels_from_json(table, what: str, ns, shape_of) -> dict:
+    """Levels n in ns of a level table, level n of shape shape_of(n);
+    DimensionMismatch for a table that is not an object or misses a level."""
+    if not isinstance(table, dict):
+        raise DimensionMismatch(f"{what} table must be an object")
     levels = {}
-    for n in range(1, trunc + 1):
-        node = data.get(str(n))
+    for n in ns:
+        node = table.get(str(n))
         if node is None:
-            raise DimensionMismatch(f"missing moment level {n}")
-        levels[n] = tensor_from_json(node, level_shape(pair.k, pair.d, n))
+            raise DimensionMismatch(f"missing {what} level {n}")
+        levels[n] = tensor_from_json(node, shape_of(n))
     return levels
 
 
 def functional_to_json(mf: MomentFunctional) -> dict:
     out = pair_to_json(mf.pair)
     out["truncation"] = mf.truncation
-    out["moments"] = _levels_to_json(mf.levels, mf.truncation)
+    out["moments"] = _levels_to_json(mf.levels)
     return out
 
 
 def functional_from_json(data: dict) -> MomentFunctional:
     pair = pair_from_json(data)
     trunc = _require(data, "truncation", int)
-    levels = _levels_from_json(_require(data, "moments"), pair, trunc)
+    levels = _levels_from_json(_require(data, "moments"), "moment", range(1, trunc + 1),
+                               lambda n: level_shape(pair.k, pair.d, n))
     mf = MomentFunctional(pair=pair, truncation=trunc, levels=levels)
     mf.check_star()
     return mf
 
 
 def family_to_json(fam: CumulantFamily) -> dict:
-    out = {"kind": fam.kind}
-    out.update(pair_to_json(fam.pair))
-    out["truncation"] = fam.truncation
-    out["moments"] = _levels_to_json(fam.levels, fam.truncation)
-    return out
+    return {"kind": fam.kind, **functional_to_json(functional_of(fam.kind, fam))}
 
 
 def family_from_json(data: dict) -> CumulantFamily:
@@ -408,10 +408,7 @@ def sigma_to_json(sigma) -> dict:
     return {
         "values_in": sigma.values_in,
         "truncation": sigma.truncation,
-        "levels": {
-            str(m): tensor_to_json(sigma.levels[m])
-            for m in range(sigma.truncation + 1)
-        },
+        "levels": _levels_to_json(sigma.levels),
     }
 
 
@@ -426,13 +423,8 @@ def sigma_from_json(data: dict, pair: AlgebraPair):
         raise DimensionMismatch("sigma truncation must be >= 0")
     v = pair.k if values_in == "B" else pair.d
     k2 = pair.k * pair.k
-    table = _require(data, "levels", dict)
-    levels = {}
-    for m in range(trunc + 1):
-        node = table.get(str(m))
-        if node is None:
-            raise DimensionMismatch(f"missing sigma level {m}")
-        levels[m] = tensor_from_json(node, (k2,) * (m + 1) + (v, v))
+    levels = _levels_from_json(_require(data, "levels", dict), "sigma", range(trunc + 1),
+                               lambda m: (k2,) * (m + 1) + (v, v))
     return SigmaForm(pair=pair, values_in=values_in, truncation=trunc, levels=levels)
 
 

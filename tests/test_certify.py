@@ -33,6 +33,7 @@ from ncid.ncfunctions import NilpotentPoint, eval_B, eval_R, eval_cR
 
 from conftest import (
     BERNOULLI_MOMENTS,
+    OVERFLOW_MOMENTS,
     SEMICIRCLE_MOMENTS,
     conjugate,
     copied_assembly,
@@ -353,6 +354,15 @@ def test_roots_recertify(mu22, pair22):
     mu, nv = divisible_cfree_pair(70, pair22)
     cmu, cnu = root("cfree", (mu, nv), 3)
     assert certify("cfree", (cmu, cnu), 3).passed
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_a_law_past_the_float_range_fails_its_boolean_certificate(degree):
+    # m4 < m2^2, so the law is not positive; the Frobenius norm of its level
+    # 2 overflows when squared, and the grade s**-len(word) must not vanish
+    cert = certify("boolean", scalar_from_moments(OVERFLOW_MOMENTS), degree)
+    assert not cert.passed
+    assert -1.0 < cert.min_eig < -0.5
 
 
 def test_free_certificate_is_dilation_invariant_for_bernoulli():

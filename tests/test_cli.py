@@ -405,6 +405,18 @@ def test_a_law_past_the_float_range_gives_json_not_a_traceback(tmp_path):
     assert codes["check"] == 1
 
 
+def test_a_law_past_the_float_range_fails_its_boolean_certificate(tmp_path):
+    # m4 < m2^2, so the law is not positive; its level 2 squared passes the
+    # float range, which must not zero the graded Gram's word blocks
+    path = write_scalar(tmp_path, "big.json", OVERFLOW_MOMENTS)
+    out = run_cli("certify", "--kind", "boolean", "--degree", "2", path)
+    assert out.returncode == 2, out.stderr
+    report = json.loads(out.stdout)
+    assert report["pass"] is False
+    assert -1.0 < report["min_eig"] < -0.5
+    assert out.stderr == ""
+
+
 def test_thread_cap_env(semi_path):
     import os
 

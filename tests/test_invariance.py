@@ -10,7 +10,12 @@ largest entry is the wrong scale, since a cumulant level can be rounding
 noise of the levels below it.
 
 The boolean Fock model of each law gives back its moments, to the same
-tolerance at s**n times the norms of the word's coefficients.
+tolerance at s**n times the norms of the word's coefficients.  Convolving n
+copies of a kind's n-th root gives back its data, to the same tolerance.  At
+random nilpotent points, the transforms eval_B, eval_R and eval_cR, which
+solve the functional equations from M alone, equal the series of the
+boolean, free and c-free families, to the same tolerance at the value's
+largest entry.
 """
 from __future__ import annotations
 
@@ -19,9 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncid.algebra import AlgebraPair
+from ncid.convolution import convolve, root
 from ncid.cumulants import KINDS, CumulantFamily, family_of, moments_of
 from ncid.distribution import MomentFunctional, generate_realizable
 from ncid.fock import build_boolean, model_moment
+from ncid.ncfunctions import NilpotentPoint, eval_B, eval_cR, eval_R, eval_series
 
 from conftest import bvalued_realizable, conjugate, dilate
 
@@ -35,7 +42,7 @@ def laws(draw):
     """A realizable law mu and a B-valued one nu over one pair, each with a
     scale s of its moments."""
     k, d, top = draw(st.sampled_from(SHAPES))
-    pair = AlgebraPair.identity(k) if k == d else AlgebraPair.block_diagonal(k, d)
+    pair = AlgebraPair.block_diagonal(k, d)
     trunc = draw(st.integers(2, top))
     seed = draw(st.integers(0, 10**6))
     mu = generate_realizable(seed, pair, trunc, ambient=2 * d)
@@ -50,21 +57,22 @@ def family_map(fam: CumulantFamily, move) -> CumulantFamily:
     return CumulantFamily(fam.kind, fam.pair, fam.truncation, moved.levels)
 
 
+def level_err(got: dict, want: dict, s) -> float:
+    """The largest error of got's levels against want's, at s**n for level n."""
+    return max(np.abs(got[n] - want[n]).max() / s**n for n in want)
+
+
 def assert_families_follow(mu, nu, move, s):
     """family(move(data)) = move(family(data)), and the moments of
     move(family) are move(mu), for every kind, to TOL * s**n at level n."""
-
-    def err(got, want):
-        return max(np.abs(got[n] - want[n]).max() / s**n for n in want)
-
     for kind in KINDS:
         law = nu if kind == "free" else mu
         data, moved = ((mu, nu), (move(mu), move(nu))) if kind == "cfree" else (law, move(law))
         fam = family_of(kind, data)
         want = family_map(fam, move)
-        assert err(family_of(kind, moved).levels, want.levels) <= TOL, kind
+        assert level_err(family_of(kind, moved).levels, want.levels, s) <= TOL, kind
         back = moments_of(want, move(nu) if kind == "cfree" else None)
-        assert err(back.levels, move(law).levels) <= TOL, kind
+        assert level_err(back.levels, move(law).levels, s) <= TOL, kind
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -99,3 +107,33 @@ def test_boolean_models_give_back_the_moments(case, seed):
             scale = s**n * np.prod([np.linalg.norm(b) for b in bs[:n]])
             err = np.abs(model_moment(model, bs[:n]) - law.eval_word(bs[:n])).max()
             assert err <= TOL * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(laws())
+def test_root_then_convolve_gives_back_the_data(case):
+    mu, nu, s = case
+    for kind in KINDS:
+        data = {"boolean": mu, "free": nu, "cfree": (mu, nu)}[kind]
+        for n in (2, 3):
+            back = convolve(kind, [root(kind, data, n)] * n)
+            pairs = zip(back, data) if kind == "cfree" else [(back, data)]
+            for got, want in pairs:
+                assert level_err(got.levels, want.levels, s) <= TOL, (kind, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(laws(), st.integers(0, 10**6))
+def test_functional_equations_match_the_recursions(case, seed):
+    mu, nu, _ = case
+    rng = np.random.default_rng(seed)
+    for kind, data, transform in (
+        ("boolean", mu, lambda point: eval_B(mu, point)),
+        ("free", nu, lambda point: eval_R(nu, point)),
+        ("cfree", (mu, nu), lambda point: eval_cR(mu, nu, point)),
+    ):
+        levels = family_of(kind, data).levels
+        for m in (3, mu.truncation):
+            point = NilpotentPoint.random(rng, m, mu.pair.k)
+            want = eval_series(levels, mu.pair, point, False)
+            assert np.abs(transform(point) - want).max() <= TOL * np.abs(want).max(), (kind, m)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import OVERFLOW_MOMENTS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -79,6 +81,7 @@ def test_cli_digest_smoke():
         "overflow law: cumulants boolean",
     ]
     assert digests["overflow law: check B"][1] == "1"
+    assert digests["overflow law: certify boolean"][1] == "2"  # the law is not positive
     law = generate_realizable(3, AlgebraPair.identity(1), 4, 2)
     text = dumps(functional_to_json(law)) + "\n"
     assert lines[0] == [hashlib.sha256(text.encode()).hexdigest(), "0", "seeds 3 4: gen a"]
@@ -129,6 +132,17 @@ def test_lib_digest_smoke():
     # a check that raises is digested as its error
     assert digests["(k, d) = (2, 2): check axioms of mu at order 3, seed 0"] == script.digest(
         "OrderExceedsTruncation: axioms check at order 3 needs truncation 5, got 4")
+    # after the pairs, the overflow law's boolean certificates, which fail
+    from ncid.certify import certify
+    from ncid.distribution import scalar_from_moments
+
+    law = scalar_from_moments(OVERFLOW_MOMENTS)
+    labels = [f"overflow law: certify boolean at degree {n}" for n in (2, 3)]
+    assert [label for _, label in lines[-2:]] == labels
+    for n, label in zip((2, 3), labels):
+        cert = certify("boolean", law, n)
+        assert not cert.passed
+        assert digests[label] == script.digest(cert)
 
 
 @pytest.mark.parametrize(
