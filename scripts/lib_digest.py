@@ -5,11 +5,12 @@ At each pair (k, d) = (2, 2) and (2, 4) the script makes seeded laws at
 divisible law nu, and D-valued c-free data with its c-freely divisible law
 mu_c over nu.  From them it digests:
 
-- Fock models of each kind, one component and a sum of two: model_moment at
-  every degree up to the depth (phi, and theta for c-free; the sum models
-  also with the letters tagged by component), operator_matrix of every
-  operator of each component at caps 1 and 2, and gram_matrix of the
-  boolean and free models at caps 1 to 3 (1 to 2 for the sums);
+- Fock models of each kind, one component, a sum of two and the root model
+  of order 3 of the first: model_moment at every degree up to the depth
+  (phi, and theta for c-free; the sum models also with the letters tagged
+  by component), operator_matrix of every operator of each component at
+  caps 1 and 2, and gram_matrix of the boolean and free models at caps 1 to
+  3 (1 to 2 for the sums);
 - certify.gram at every degree, with and without the free term, and
   certify of each kind at every degree, on divisible and on random data;
 - certify_levy_hincin of each kind's data, levy_hincin_extract of each kind
@@ -120,7 +121,9 @@ def outputs(k: int, d: int, trunc: int):
     }
     for kind, (one, two) in models.items():
         states = ("phi", "theta") if kind == "cfree" else ("phi",)
-        for name, model in (("one component", one), ("two components", two)):
+        root = getattr(fock, f"{kind}_root_model")(one, 3)
+        for name, model in (("one component", one), ("two components", two),
+                            ("root of order 3", root)):
             what = f"{kind} model, {name}"
             yield f"{what}: depth", lambda m: m.depth, (model,)
             for state in states:
@@ -132,12 +135,12 @@ def outputs(k: int, d: int, trunc: int):
                         yield f"{what}: {state} moment of degree {n}, tagged", \
                             fock.model_moment, (model, bs[:n], state, tags)
             for t in range(len(model.components)):
-                for op, _ in fock._OPS[kind]:
+                for op in fock._OPS[kind]:
                     for cap in (1, 2):
                         yield f"{what}: {op} of component {t} at cap {cap}", \
                             fock.operator_matrix, (model, op, cap, t)
             if kind != "cfree":
-                for cap in range(1, 4 if model is one else 3):
+                for cap in range(1, 3 if model is two else 4):
                     yield f"{what}: Gram at cap {cap}", fock.gram_matrix, (model, cap)
 
     for degree in range(1, trunc // 2 + 1):

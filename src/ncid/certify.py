@@ -18,10 +18,19 @@ from itertools import product
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, cnorm, psd_floor
-from .cumulants import CumulantFamily, families, functional_of, values_in
+from .cumulants import CumulantFamily, families, functional_of, value_dim, values_in
 from .distribution import MAX_GENERATE_BYTES, MomentFunctional, _checked_levels
 from .errors import CertificateFailed, DimensionMismatch, NCIDError, TooLarge, TruncationExceeded
 from .ncfunctions import _point_entries, eval_series
+
+
+def sigma_level_shape(pair: AlgebraPair, where: str, truncation: int):
+    """Shape of a sigma form's level m, (k^2,)*(m+1) + (v, v) with v rows in
+    where; DimensionMismatch for a truncation below 0."""
+    v, k2 = value_dim(pair, where), pair.k * pair.k
+    if truncation < 0:
+        raise DimensionMismatch("sigma truncation must be >= 0")
+    return lambda m: (k2,) * (m + 1) + (v, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,14 +49,8 @@ class SigmaForm:
     levels: dict
 
     def __post_init__(self):
-        if self.values_in not in ("B", "D"):
-            raise NCIDError(f"values_in must be 'B' or 'D', got {self.values_in!r}")
-        if self.truncation < 0:
-            raise NCIDError("sigma form needs at least level 0")
-        v = self.pair.k if self.values_in == "B" else self.pair.d
-        k2 = self.pair.k * self.pair.k
-        lv = _checked_levels("sigma", self.levels, range(self.truncation + 1),
-                             lambda m: (k2,) * (m + 1) + (v, v))
+        shape = sigma_level_shape(self.pair, self.values_in, self.truncation)
+        lv = _checked_levels("sigma", self.levels, range(self.truncation + 1), shape)
         object.__setattr__(self, "levels", lv)
 
     @classmethod

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import AlgebraPair
 from .distribution import MomentFunctional, _checked_table, level_shape
-from .errors import NCIDError, PairMismatch, TooLarge, TruncationExceeded
+from .errors import DimensionMismatch, NCIDError, PairMismatch, TooLarge, TruncationExceeded
 
 KINDS = ("boolean", "free", "cfree")
 
@@ -96,6 +96,13 @@ def values_in(kind: str) -> str:
     which stay inside the embedded copy of B, else 'D'."""
     check_kind(kind)
     return "B" if kind == "free" else "D"
+
+
+def value_dim(pair: AlgebraPair, where: str) -> int:
+    """Rows of a value in B (k) or in D (d); DimensionMismatch elsewhere."""
+    if where not in ("B", "D"):
+        raise DimensionMismatch(f"values_in must be 'B' or 'D', got {where!r}")
+    return pair.k if where == "B" else pair.d
 
 
 def functional_of(kind: str, fam: CumulantFamily) -> MomentFunctional:

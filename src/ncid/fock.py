@@ -23,12 +23,11 @@ goes through the embedding exactly when the result's front is a D-vacuum:
 the boolean (), ('O',) and ('D', ()).
 
 The operator table _OPS lists each kind's operators in the order the
-represented variable sums them, with the root-scale key of each.  The c-free
-H side is the free model's H-tensor with a D-vacuum or a K-leg word beside
-it, so its four H operators are the free ones (_h_terms).  Its K leg on
-C + H_sigma (_leg_terms) is also the whole boolean model: boolean is c-free
-against nu = delta_0, so a boolean key is one sigma-word, with no centering
-and no transfer correction.
+represented variable sums them.  The c-free H side is the free model's
+H-tensor with a D-vacuum or a K-leg word beside it, so its four H operators
+are the free ones (_h_terms).  Its K leg on C + H_sigma (_leg_terms) is also
+the whole boolean model: boolean is c-free against nu = delta_0, so a
+boolean key is one sigma-word, with no centering and no transfer correction.
 
 fock_basis lists the keys shape by shape, lexicographic in the letters
 within a shape, so operator_matrix applies an operator once per shape, to
@@ -36,7 +35,8 @@ the identity on its keys, and gram_matrix fills one block per shape pair.
 
 A component is its cumulant tables, level n holding the values on n-letter
 words: a boolean law's boolean cumulants (its ckd against delta_0), a free
-side's kb and a c-free side's ckd.
+side's kb and a c-free side's ckd.  An n-th root model divides every table
+by n, as convolution.root divides the cumulant family.
 
 Each builder gates its data on a certificate of ncid.certify (certify for a
 boolean law, certify_levy_hincin for a free or c-free side): data gets a model
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, islice, product
-from math import sqrt
 
 import numpy as np
 
@@ -63,11 +62,12 @@ from .certify import (
     certify,
     certify_levy_hincin,
     check_gram_size,
+    family_from_levy_hincin,
     gram_arrays,
     hermitian_gram,
     word_family,
 )
-from .cumulants import boolean_from_moments, values_in
+from .cumulants import boolean_from_moments, value_dim, values_in
 from .distribution import MomentFunctional
 from .errors import (
     DepthExceeded,
@@ -77,18 +77,11 @@ from .errors import (
     TruncationExceeded,
 )
 
-_OPS = {
-    "boolean": (("annihilate", "ann"), ("create", "cre"), ("gauge", "gauge"), ("transfer", None)),
-    "free": (("annihilate", "ann"), ("create", "cre"), ("gauge", "gauge"), ("insert", None)),
-    "cfree": (
-        ("h_annihilate", "ann"), ("h_create", "cre"), ("gauge_h", "gauge"), ("h_insert", None),
-        ("k_annihilate", "ann"), ("k_create", "cre"), ("gauge_k", "gauge"), ("k_insert", None),
-    ),
-}
 # the c-free H-side operators and the free operators they run
 _H_SIDE = {"h_annihilate": "annihilate", "h_create": "create", "gauge_h": "gauge", "h_insert": "insert"}
 # the c-free K-leg operators and the boolean operators they run
 _K_LEG = {"k_annihilate": "annihilate", "k_create": "create", "gauge_k": "gauge", "k_insert": "transfer"}
+_OPS = {"boolean": tuple(_K_LEG.values()), "free": tuple(_H_SIDE.values()), "cfree": (*_H_SIDE, *_K_LEG)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +90,6 @@ class FockModel:
     pair: AlgebraPair
     depth: int
     components: tuple
-    scales: tuple
 
 
 def _gate(cert, what: str) -> None:
@@ -126,20 +118,19 @@ def _model(kind: str, pair: AlgebraPair, comps: list, depth) -> FockModel:
         depth = top
     elif depth > top:
         raise TruncationExceeded(f"{kind} model depth {depth} exceeds the truncation {top}")
-    scales = tuple({"ann": 1.0, "cre": 1.0, "gauge": 1.0} for _ in comps)
-    return FockModel(kind=kind, pair=pair, depth=depth, components=tuple(comps), scales=scales)
+    return FockModel(kind=kind, pair=pair, depth=depth, components=tuple(comps))
 
 
 def _side(pair: AlgebraPair, alpha, sigma: SigmaForm, kind: str, what: str) -> dict:
-    """One (alpha, sigma) side of a free or c-free component, gated on its
-    certificate (which checks alpha's shape), as its cumulant table: the
-    Levy-Hincin shift of the data, values as stored."""
-    if sigma.values_in != values_in(kind):
-        raise DimensionMismatch(f"{what} sigma form must be {values_in(kind)}-valued")
+    """One (alpha, sigma) side, gated on its certificate, as its cumulant
+    table: a free side's Levy-Hincin shift in B, a c-free side's family."""
     if not pair.same_pair(sigma.pair):
         raise DimensionMismatch("model components over different pairs")
     _gate(certify_levy_hincin(kind, alpha, sigma), f"{what} data")
-    return _levy_hincin_table(require_hermitian(alpha), sigma)
+    alpha = require_hermitian(alpha)
+    if kind == "free":
+        return _levy_hincin_table(alpha, sigma)
+    return family_from_levy_hincin(kind, alpha, sigma).levels
 
 
 def boolean_sum_model(mus, depth: int | None = None) -> FockModel:
@@ -194,17 +185,13 @@ def _rescaled(model: FockModel, n: int, kind: str) -> FockModel:
         raise NCIDError(f"{kind}_root_model needs a {kind} model")
     if n < 1:
         raise NCIDError(f"root order must be >= 1, got {n}")
-    rs = 1.0 / sqrt(n)
-    scales = tuple(
-        {"ann": s["ann"] * rs, "cre": s["cre"] * rs, "gauge": s["gauge"] / n}
-        for s in model.scales
-    )
-    return replace(model, scales=scales)
+    comps = tuple({name: {m: (1.0 / n) * t for m, t in table.items()} for name, table in c.items()}
+                  for c in model.components)
+    return replace(model, components=comps)
 
 
 def boolean_root_model(model: FockModel, n: int) -> FockModel:
-    """Model of the n-th boolean convolution root: a, a* scale by 1/sqrt(n),
-    the gauge part by 1/n, the transfer part not at all."""
+    """Model of the n-th boolean convolution root: every table divided by n."""
     return _rescaled(model, n, "boolean")
 
 
@@ -258,7 +245,7 @@ def _key(shape, letters) -> tuple:
 
 
 def _coord_dim(model: FockModel) -> int:
-    return model.pair.k if model.kind == "free" else model.pair.d
+    return value_dim(model.pair, values_in(model.kind))
 
 
 def _layout(model: FockModel, cap: int, copies: int):
@@ -398,7 +385,7 @@ def _leg_terms(model, name, shape, arr, t):
 
 def apply_op(model: FockModel, name: str, vec: dict, component: int = 0) -> dict:
     """Apply one structural operator of a component to a vector."""
-    if name not in [op for op, _ in _OPS[model.kind]]:
+    if name not in _OPS[model.kind]:
         raise NCIDError(f"unknown {model.kind} operator {name!r}")
     if model.kind == "boolean" or name in _K_LEG:
         terms, name = _leg_terms, _K_LEG.get(name, name)
@@ -416,10 +403,9 @@ def apply_generator(model: FockModel, vec: dict, component=None) -> dict:
     tags = range(len(model.components)) if component is None else [component]
     out: dict = {}
     for t in tags:
-        for name, scale in _OPS[model.kind]:
-            s = 1.0 if scale is None else model.scales[t][scale]
+        for name in _OPS[model.kind]:
             for shape, arr in apply_op(model, name, vec, t).items():
-                out[shape] = out.get(shape, 0) + s * arr
+                out[shape] = out.get(shape, 0) + arr
     return out
 
 

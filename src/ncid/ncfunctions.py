@@ -75,15 +75,17 @@ def _random_entries(rng, count: int, m: int, k: int, scale: float) -> np.ndarray
     NilpotentPoint.random do: each upper block, row by row, its real and
     then its imaginary (k, k) part."""
     rows, cols = np.triu_indices(m, 1)
-    z = rng.standard_normal((max(count, 0), len(rows), 2, k, k))
-    entries = np.zeros((max(count, 0), m, m, k, k), dtype=complex)
+    z = rng.standard_normal((count, len(rows), 2, k, k))
+    entries = np.zeros((count, m, m, k, k), dtype=complex)
     entries[:, rows, cols] = scale * (z[:, :, 0] + 1j * z[:, :, 1])
     return entries
 
 
 def triangular_probe(coeffs) -> NilpotentPoint:
-    """Superdiagonal point with the given (k, k) coefficients b1, ..., bm."""
+    """Superdiagonal point with the given (k, k) coefficients b1, ..., bm, m >= 1."""
     coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
+    if not coeffs:
+        raise DimensionMismatch("a triangular probe needs at least one coefficient")
     k = coeffs[0].shape[0]
     m = len(coeffs) + 1
     entries = np.zeros((m, m, k, k), dtype=complex)
@@ -307,16 +309,18 @@ def _worst(residuals, probes: int, m: int, pair: AlgebraPair, top: int, points: 
     per = 16 * points * m * pair.d**2 * (2 * pair.k ** (2 * max(top - 2, 0)) + (2 * m + 8) * m)
     size = max(1, MAX_GENERATE_BYTES // per)
     errs = []
-    for start in range(0, max(probes, 0), size):
+    for start in range(0, probes, size):
         errs += residuals(slice(start, start + size))
-    return max(errs, default=0.0) if np.isfinite(errs).all() else float("nan")
+    return max(errs) if np.isfinite(errs).all() else float("nan")
 
 
-def _require_order(what: str, order: int, need: int, stored: int) -> None:
+def _require_order(what: str, order: int, need: int, stored: int, probes: int) -> None:
     """A check probes points of size order + 1, which are zero below order 1,
-    and reads `need` of the `stored` levels."""
+    reads `need` of the `stored` levels, and evaluates at least one probe."""
     if order < 1:
         raise DimensionMismatch(f"check order must be >= 1, got {order}")
+    if probes < 1:
+        raise DimensionMismatch(f"a check needs at least one probe, got {probes}")
     if need > stored:
         raise OrderExceedsTruncation(
             f"{what} check at order {order} needs truncation {need}, got {stored}"
@@ -357,7 +361,7 @@ def check_identity(
     if name not in _SERIES:
         raise NCIDError(f"unknown identity {name!r}")
     stored = mu.truncation if nu is None else min(mu.truncation, nu.truncation)
-    _require_order("identity", order, order, stored)
+    _require_order("identity", order, order, stored, probes)
     pair = mu.pair
     # recursion level p reads levels <= p; probes read <= order
     data = _truncated(mu, order)
@@ -403,7 +407,7 @@ def check_cauchy_relation(
     order, delta_{r0} 1 - H_r G_0 = [B-series of (X (1-c)^{-1})^r].
     Every step runs on all the points of a group of probes at once.
     """
-    _require_order("relation", order, order, mu.truncation)
+    _require_order("relation", order, order, mu.truncation, probes)
     pair = mu.pair
     k, d = pair.k, pair.d
     m = order + 1
@@ -459,7 +463,7 @@ def check_nc_function_axioms(
     size.
     """
     # direct sums reach size 2 * order
-    _require_order("axioms", order, 2 * order - 1, mu.truncation)
+    _require_order("axioms", order, 2 * order - 1, mu.truncation, probes)
     pair = mu.pair
     k = pair.k
     rng = seeded_rng(seed)
@@ -514,6 +518,8 @@ def amplify_functional(mu: MomentFunctional, n: int, truncation: int) -> MomentF
     pair = mu.pair
     k, d = pair.k, pair.d
     nk, nd = n * k, n * d
+    if n < 1:
+        raise DimensionMismatch(f"amplification needs n >= 1, got {n}")
     if truncation > mu.truncation:
         raise TruncationExceeded(
             f"amplification to degree {truncation} exceeds stored {mu.truncation}"
@@ -548,7 +554,7 @@ def tensor_compatibility(
     n-amplified functional at m x m points agrees with evaluating the
     original transform at the regrouped (mn) x (mn) point.  The points of
     a group of probes are evaluated together."""
-    _require_order("tensor", order, order, mu.truncation)
+    _require_order("tensor", order, order, mu.truncation, probes)
     pair = mu.pair
     k = pair.k
     amp = amplify_functional(mu, n, order)

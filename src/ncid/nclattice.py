@@ -18,6 +18,7 @@ from .errors import (
     GroundSetMismatch,
     NCIDError,
     NotComparable,
+    PairMismatch,
     TooLarge,
     TruncationExceeded,
 )
@@ -203,6 +204,8 @@ def nc_weights(pi: NCPartition, kind: str, mu, nu, b: np.ndarray):
     """
     if kind not in ("f", "F", "g", "G"):
         raise NCIDError(f"unknown weight kind {kind!r}")
+    if not mu.pair.same_pair(nu.pair):
+        raise PairMismatch("mu and nu live over different algebra pairs")
     m = pi.n
     if m > mu.truncation or m > nu.truncation:
         raise TruncationExceeded(f"NC({m}) weight needs truncation >= {m}")

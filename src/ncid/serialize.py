@@ -27,7 +27,7 @@ import re
 import numpy as np
 
 from .algebra import AlgebraPair, check_pair_size
-from .cumulants import KINDS, CumulantFamily, functional_of, values_in
+from .cumulants import KINDS, CumulantFamily, functional_of, value_dim, values_in
 from .distribution import MomentFunctional, level_shape
 from .errors import DimensionMismatch, NCIDError
 
@@ -413,18 +413,12 @@ def sigma_to_json(sigma) -> dict:
 
 
 def sigma_from_json(data: dict, pair: AlgebraPair):
-    from .certify import SigmaForm
+    from .certify import SigmaForm, sigma_level_shape
 
     values_in = _require(data, "values_in", str)
-    if values_in not in ("B", "D"):
-        raise DimensionMismatch(f"values_in must be 'B' or 'D', got {values_in!r}")
     trunc = _require(data, "truncation", int)
-    if trunc < 0:
-        raise DimensionMismatch("sigma truncation must be >= 0")
-    v = pair.k if values_in == "B" else pair.d
-    k2 = pair.k * pair.k
-    levels = _levels_from_json(_require(data, "levels", dict), "sigma", range(trunc + 1),
-                               lambda m: (k2,) * (m + 1) + (v, v))
+    shape = sigma_level_shape(pair, values_in, trunc)
+    levels = _levels_from_json(_require(data, "levels", dict), "sigma", range(trunc + 1), shape)
     return SigmaForm(pair=pair, values_in=values_in, truncation=trunc, levels=levels)
 
 
@@ -441,7 +435,7 @@ def extraction_from_json(data: dict):
     if kind not in KINDS:
         raise DimensionMismatch(f"unknown transform kind {kind!r}")
     pair = pair_from_json(data)
-    v = pair.k if values_in(kind) == "B" else pair.d
+    v = value_dim(pair, values_in(kind))
     alpha = tensor_from_json(_require(data, "alpha"), (v, v))
     sigma = sigma_from_json(_require(data, "sigma"), pair)
     return kind, pair, alpha, sigma

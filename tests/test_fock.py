@@ -11,6 +11,7 @@ from ncid.algebra import block_matrix
 from ncid.certify import (
     SigmaForm,
     certify,
+    certify_levy_hincin,
     family_from_levy_hincin,
     levy_hincin_extract,
     word_pairing,
@@ -47,6 +48,7 @@ from ncid.fock import (
 
 from conftest import (
     SEMICIRCLE_MOMENTS,
+    bvalued_realizable,
     cfree_levy_hincin_data,
     copied_assembly,
     free_levy_hincin_data,
@@ -509,6 +511,56 @@ def test_root_models_match_convolution_roots(mu22, pair22):
         assert relerr(model_moment(cmodel, w, state="phi"), cnu.eval_word(w)) < 1e-10
 
 
+def scaled_data(alpha, sigma: SigmaForm, c: float):
+    """Levy-Hincin data (c alpha, c sigma)."""
+    levels = {m: c * t for m, t in sigma.levels.items()}
+    return c * alpha, SigmaForm(sigma.pair, sigma.values_in, sigma.truncation, levels)
+
+
+def test_a_root_model_is_the_model_of_the_root_data(mu22, pair22):
+    """The n-th root model's operators and Gram are those of the model of
+    the data divided by n, not the parent model's."""
+    n = 3
+    frees = free_levy_hincin_data(50, pair22, 6)
+    cfrees = cfree_levy_hincin_data(52, pair22, 6)
+    root_frees, root_cfrees = (scaled_data(*data, 1.0 / n) for data in (frees, cfrees))
+    cases = (
+        (free_root_model(build_free(*frees), n), build_free(*root_frees)),
+        (cfree_root_model(build_cfree(*frees, *cfrees), n), build_cfree(*root_frees, *root_cfrees)),
+    )
+    for model, direct in cases:
+        for name in _OPS[model.kind]:
+            assert np.array_equal(operator_matrix(model, name, 2)[0],
+                                  operator_matrix(direct, name, 2)[0]), name
+    assert np.array_equal(gram_matrix(cases[0][0], 3)[0], gram_matrix(cases[0][1], 3)[0])
+    # the boolean root law is positive, so its model builds
+    model = boolean_root_model(build_boolean(mu22), n)
+    direct = build_boolean(root("boolean", mu22, n))
+    for name in _OPS["boolean"]:
+        assert relerr(operator_matrix(model, name, 2)[0], operator_matrix(direct, name, 2)[0]) < 1e-12
+    assert relerr(gram_matrix(model, 3)[0], gram_matrix(direct, 3)[0]) < 1e-12
+
+
+def test_a_b_valued_cfree_side_builds_exactly_when_certified(pair24):
+    # a B-valued c-free sigma is embedded, as certify_levy_hincin embeds it
+    frees = free_levy_hincin_data(50, pair24, 6)
+    sigma = SigmaForm.from_bordered(bvalued_realizable(3, pair24, 6), "B")
+    alpha = np.eye(4)
+    assert certify_levy_hincin("cfree", alpha, sigma).passed
+    model = build_cfree(*frees, alpha, sigma)
+    nu = moments_from_free(family_from_levy_hincin("free", *frees))
+    mu = moments_from_cfree(family_from_levy_hincin("cfree", alpha, sigma), nu)
+    words = rand_words(16, 2, 6)
+    for n in range(7):
+        bs = words[:n]
+        assert relerr(model_moment(model, bs, state="theta"), mu.eval_word(bs)) < 1e-10, n
+        assert relerr(model_moment(model, bs, state="phi"), nu.eval_word(bs)) < 1e-10, n
+    negated = scaled_data(alpha, sigma, -1.0)
+    assert not certify_levy_hincin("cfree", *negated).passed
+    with pytest.raises(GramNotPSD):
+        build_cfree(*frees, *negated)
+
+
 def test_oversized_fock_matrices_are_refused_before_allocation(mu22):
     # 5461 boolean keys up to degree 6 at k = 2 tile a 10922^2 complex matrix
     model = build_boolean(mu22)
@@ -639,7 +691,7 @@ def test_operator_matrix_columns_are_apply_op_on_one_key(mu22, nu22, pair22):
         for i, (shape, letters) in enumerate(split):
             start = starts.setdefault(shape, i)
             assert letters == np.unravel_index(i - start, (4,) * len(letters))
-        for name, _ in _OPS[model.kind]:
+        for name in _OPS[model.kind]:
             for comp in range(2):
                 mat, mkeys = operator_matrix(model, name, cap, comp)
                 assert mkeys == keys

@@ -16,6 +16,10 @@ random nilpotent points, the transforms eval_B, eval_R and eval_cR, which
 solve the functional equations from M alone, equal the series of the
 boolean, free and c-free families, to the same tolerance at the value's
 largest entry.
+
+The free and c-free Fock models of Levy-Hincin data give back the laws of
+the data's families, and the n-th root model of each kind the moments of
+convolution.root, to the same tolerance as the boolean models.
 """
 from __future__ import annotations
 
@@ -24,13 +28,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncid.algebra import AlgebraPair
+from ncid.certify import family_from_levy_hincin
 from ncid.convolution import convolve, root
-from ncid.cumulants import KINDS, CumulantFamily, family_of, moments_of
+from ncid.cumulants import (
+    KINDS,
+    CumulantFamily,
+    family_of,
+    moments_from_cfree,
+    moments_from_free,
+    moments_of,
+)
 from ncid.distribution import MomentFunctional, generate_realizable
-from ncid.fock import build_boolean, model_moment
+from ncid.fock import (
+    boolean_root_model,
+    build_boolean,
+    build_cfree,
+    build_free,
+    cfree_root_model,
+    free_root_model,
+    model_moment,
+)
 from ncid.ncfunctions import NilpotentPoint, eval_B, eval_cR, eval_R, eval_series
 
-from conftest import bvalued_realizable, conjugate, dilate
+from conftest import (
+    bvalued_realizable,
+    cfree_levy_hincin_data,
+    conjugate,
+    dilate,
+    free_levy_hincin_data,
+)
 
 # (k, d, largest truncation)
 SHAPES = ((1, 1, 8), (1, 2, 5), (2, 2, 5), (2, 4, 4))
@@ -107,6 +133,54 @@ def test_boolean_models_give_back_the_moments(case, seed):
             scale = s**n * np.prod([np.linalg.norm(b) for b in bs[:n]])
             err = np.abs(model_moment(model, bs[:n]) - law.eval_word(bs[:n])).max()
             assert err <= TOL * scale
+
+
+@st.composite
+def levy_hincin_cases(draw):
+    """conftest's free and c-free Levy-Hincin data over one pair, a
+    realizable law mu, the divisible laws nu and mu_c of the data, and a
+    scale s of the three laws' moments."""
+    k, d, top = draw(st.sampled_from(SHAPES))
+    pair = AlgebraPair.block_diagonal(k, d)
+    trunc = draw(st.integers(2, top))
+    seed = draw(st.integers(0, 10**6))
+    free, cfree = free_levy_hincin_data(seed, pair, trunc), cfree_levy_hincin_data(seed + 1, pair, trunc)
+    mu = generate_realizable(seed + 2, pair, trunc, ambient=2 * d)
+    nu = moments_from_free(family_from_levy_hincin("free", *free))
+    mu_c = moments_from_cfree(family_from_levy_hincin("cfree", *cfree), nu)
+    s = max(np.linalg.norm(law.levels[n]) ** (1 / n) for law in (mu, nu, mu_c) for n in law.levels)
+    return free, cfree, mu, nu, mu_c, s
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(levy_hincin_cases(), st.integers(0, 10**6))
+def test_fock_models_and_their_roots_give_back_the_laws(case, seed):
+    """The free and c-free models of Levy-Hincin data give back the laws of
+    the data's families, and each kind's n-th root model the moments of
+    convolution.root, to TOL * s**n times the norms of the word's
+    coefficients."""
+    free, cfree, mu, nu, mu_c, s = case
+    k = mu.pair.k
+    rng = np.random.default_rng(seed)
+    bs = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+          for _ in range(mu.truncation)]
+    models = {"boolean": build_boolean(mu), "free": build_free(*free),
+              "cfree": build_cfree(*free, *cfree)}
+
+    def check(model, states):
+        for n in range(model.depth + 1):
+            scale = s**n * np.prod([np.linalg.norm(b) for b in bs[:n]])
+            for state, law in states.items():
+                err = np.abs(model_moment(model, bs[:n], state) - law.eval_word(bs[:n])).max()
+                assert err <= TOL * scale, (model.kind, state, n)
+
+    check(models["free"], {"phi": nu})
+    check(models["cfree"], {"phi": nu, "theta": mu_c})
+    for n in (2, 3):
+        check(boolean_root_model(models["boolean"], n), {"phi": root("boolean", mu, n)})
+        check(free_root_model(models["free"], n), {"phi": root("free", nu, n)})
+        cmu, cnu = root("cfree", (mu_c, nu), n)
+        check(cfree_root_model(models["cfree"], n), {"phi": cnu, "theta": cmu})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

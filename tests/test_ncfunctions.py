@@ -97,6 +97,11 @@ def test_triangular_probe_layout():
     assert np.abs(probe.entries[0, 2]).max() == 0
 
 
+def test_triangular_probe_needs_a_coefficient():
+    with pytest.raises(DimensionMismatch, match="at least one coefficient"):
+        triangular_probe([])
+
+
 def test_moment_transform_at_zero_is_identity(mu22):
     out = eval_M(mu22, NilpotentPoint.from_entries(np.zeros((2, 2, 2, 2))))
     assert np.array_equal(out[0, 0], np.eye(2, dtype=complex))
@@ -210,6 +215,20 @@ def test_identity_input_validation(mu22):
         check_identity("B", mu22, order=7)
 
 
+@pytest.mark.parametrize("probes", [0, -3])
+def test_a_check_without_probes_is_refused(mu22, nu22, probes):
+    # no probe would evaluate nothing and report residual 0.0, pass true
+    for check, args in (
+        (check_identity, ("B", mu22)),
+        (check_identity, ("cR", mu22, nu22)),
+        (check_cauchy_relation, (mu22,)),
+        (check_nc_function_axioms, (mu22,)),
+        (tensor_compatibility, (mu22, 2)),
+    ):
+        with pytest.raises(DimensionMismatch, match="at least one probe"):
+            check(*args, probes=probes)
+
+
 def test_cauchy_relation_holds(semicircle, mu22):
     for mf in (semicircle, mu22):
         res = check_cauchy_relation(mf, order=4, probes=5)
@@ -265,6 +284,14 @@ def test_amplification_respects_direct_sums(mu22):
 def test_amplification_truncation_gate(mu22):
     with pytest.raises(TruncationExceeded):
         amplify_functional(mu22, 2, 7)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_amplification_needs_a_positive_size(mu22, n):
+    with pytest.raises(DimensionMismatch, match="amplification needs n >= 1"):
+        amplify_functional(mu22, n, 3)
+    with pytest.raises(DimensionMismatch, match="amplification needs n >= 1"):
+        tensor_compatibility(mu22, n)
 
 
 def test_tensor_compatibility(semicircle, mu22):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ncid.algebra import AlgebraPair
 from ncid.distribution import generate_realizable
-from ncid.errors import GroundSetMismatch, NotComparable, TooLarge
+from ncid.errors import GroundSetMismatch, NotComparable, PairMismatch, TooLarge
 from ncid.nclattice import (
     MAX_GROUND_SET,
     NCPartition,
@@ -204,6 +204,15 @@ def test_weight_f_nested_example(semicircle):
     b = np.ones((1, 1))
     val = nc_weights(pi, "f", semicircle, semicircle, b)
     assert abs(val[0, 0]) < 1e-14
+
+
+@pytest.mark.parametrize("kind", ["f", "F", "g", "G"])
+def test_weights_refuse_laws_over_different_pairs(kind, pair22):
+    # F used to fail inside numpy, f and g to read nu alone
+    mu = generate_realizable(21, AlgebraPair.block_diagonal(2, 4), 5, ambient=8)
+    nu = generate_realizable(22, pair22, 5, ambient=4)
+    with pytest.raises(PairMismatch):
+        nc_weights(full_partition(4), kind, mu, nu, np.eye(2))
 
 
 def test_moment_cumulant_weight_identity_scalar(semicircle, bernoulli):

@@ -107,6 +107,9 @@ def test_lib_digest_smoke():
             "cfree model, two components: k_insert of component 1 at cap 1",
             "boolean model, one component: Gram at cap 2",
             "free model, two components: Gram at cap 2",
+            "boolean model, root of order 3: transfer of component 0 at cap 2",
+            "cfree model, root of order 3: theta moment of degree 4",
+            "free model, root of order 3: Gram at cap 3",
             "gram of mu at degree 2, no_free_term False",
             "certify cfree of the divisible law at degree 2",
             "free Levy-Hincin certificate",

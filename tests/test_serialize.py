@@ -36,7 +36,14 @@ from ncid.serialize import (
     tensor_to_json,
 )
 
-from conftest import BERNOULLI_MOMENTS, SEMICIRCLE_MOMENTS, hermitize, rand_b, twisted
+from conftest import (
+    BERNOULLI_MOMENTS,
+    SEMICIRCLE_MOMENTS,
+    bvalued_realizable,
+    hermitize,
+    rand_b,
+    twisted,
+)
 
 
 def test_dumps_is_plain_json():
@@ -162,6 +169,22 @@ def test_sigma_round_trip(mu22):
     assert back.truncation == sigma.truncation
     for m in range(sigma.truncation + 1):
         assert np.array_equal(back.levels[m], sigma.levels[m])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"values_in": "C"}, "values_in must be 'B' or 'D', got 'C'"),
+    ({"truncation": -1}, "sigma truncation must be >= 0"),
+    ({"values_in": "D"}, None),
+], ids=["place", "truncation", "shape"])
+def test_sigma_forms_and_their_json_refuse_alike(pair24, change, message):
+    # read as D-valued, a B-valued form over (2, 4) has (2, 2) values, not (4, 4)
+    sigma = SigmaForm.from_bordered(bvalued_realizable(3, pair24, 4), values_in="B")
+    fields = {"values_in": "B", "truncation": sigma.truncation, "levels": sigma.levels, **change}
+    with pytest.raises(DimensionMismatch, match=message):
+        SigmaForm(pair=pair24, **fields)
+    data = json.loads(dumps({**sigma_to_json(sigma), **change}))
+    with pytest.raises(DimensionMismatch, match=message):
+        sigma_from_json(data, pair24)
 
 
 def test_extraction_round_trip(mu22):
