@@ -19,7 +19,9 @@ mu_c over nu.  From them it digests:
 - the report of every identity check at orders 1 to 4 and seeds 0 and 1:
   check_identity B of mu, R of nu and of mu, cR of (mu_c, nu),
   check_cauchy_relation, check_nc_function_axioms and tensor_compatibility
-  (n = 2) of mu.
+  (n = 2) of mu; then the same reports with every law dilated by 1e-3 and
+  by 1e3 (X -> lambda X), whose residuals the checks grade by the laws'
+  scale.
 
 After the pairs come the boolean certificates at degrees 2 and 3 of the
 scalar law with moments (0, 1e300, 0, 2e300, 0, 5e300), whose level 2
@@ -171,20 +173,30 @@ def outputs(k: int, d: int, trunc: int):
             yield f"{kind} reconstruct at a {m} x {m} point", cert.levy_hincin_reconstruct, (
                 kind, alpha, sigma, point)
 
-    checks = (
-        ("check B of mu", ncf.check_identity, ("B", mu)),
-        ("check R of nu", ncf.check_identity, ("R", nu)),
-        ("check R of mu", ncf.check_identity, ("R", mu)),
-        ("check cR of (mu_c, nu)", ncf.check_identity, ("cR", mu_c, nu)),
-        ("check G of mu", ncf.check_cauchy_relation, (mu,)),
-        ("check axioms of mu", ncf.check_nc_function_axioms, (mu,)),
-        ("check tensor of mu", ncf.tensor_compatibility, (mu, 2)),
-    )
-    for label, check, check_args in checks:
-        for order in range(1, 5):
-            for seed in (0, 1):
-                yield f"{label} at order {order}, seed {seed}", functools.partial(
-                    check, order=order, seed=seed), check_args
+    for lam, dilated in ((1, ""), (1e-3, ", dilated by 0.001"), (1e3, ", dilated by 1000")):
+        mu_l, nu_l, mu_c_l = (dilate(law, lam) for law in (mu, nu, mu_c))
+        checks = (
+            ("check B of mu", ncf.check_identity, ("B", mu_l)),
+            ("check R of nu", ncf.check_identity, ("R", nu_l)),
+            ("check R of mu", ncf.check_identity, ("R", mu_l)),
+            ("check cR of (mu_c, nu)", ncf.check_identity, ("cR", mu_c_l, nu_l)),
+            ("check G of mu", ncf.check_cauchy_relation, (mu_l,)),
+            ("check axioms of mu", ncf.check_nc_function_axioms, (mu_l,)),
+            ("check tensor of mu", ncf.tensor_compatibility, (mu_l, 2)),
+        )
+        for label, check, check_args in checks:
+            for order in range(1, 5):
+                for seed in (0, 1):
+                    yield f"{label}{dilated} at order {order}, seed {seed}", functools.partial(
+                        check, order=order, seed=seed), check_args
+
+
+def dilate(law, lam):
+    """The law of lam X: level n times lam**n."""
+    from ncid.distribution import MomentFunctional
+
+    levels = {n: lam**n * law.levels[n] for n in law.levels}
+    return MomentFunctional(pair=law.pair, truncation=law.truncation, levels=levels)
 
 
 def overflow_outputs():

@@ -66,6 +66,19 @@ def psd_floor(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     return -tol * cnorm(m)
 
 
+def _graded_scale(levels: dict) -> float:
+    """Scale s of a table of levels, lambda s for the law of lambda X: the
+    square root of the Frobenius norm of level 2, or 1 where that is 0 or
+    not stored.  Where the squares of level 2 pass the float range, the
+    norm of level 2 over its largest entry is multiplied back by it."""
+    level2 = levels.get(2, np.zeros(1))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(level2)
+    if not np.isfinite(norm):
+        norm = cnorm(level2) * np.linalg.norm(level2 / cnorm(level2))
+    return float(np.sqrt(norm)) or 1.0
+
+
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     a = require_hermitian(m, tol)
     return min_eigenvalue(a) >= psd_floor(a, tol)

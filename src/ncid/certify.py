@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraPair, adjoint_unit, cnorm, psd_floor
+from .algebra import DEFAULT_TOL, AlgebraPair, _graded_scale, adjoint_unit, psd_floor
 from .cumulants import CumulantFamily, families, functional_of, value_dim, values_in
 from .distribution import MAX_GENERATE_BYTES, MomentFunctional, _checked_levels
 from .errors import CertificateFailed, DimensionMismatch, NCIDError, TooLarge, TruncationExceeded
@@ -213,25 +213,19 @@ class Certificate:
 def _judge(kind, degree, phi: MomentFunctional, no_free_term: bool, tol) -> Certificate:
     """Certificate of the Gram G of phi, judged on the graded S G S.
 
-    S = diag(s^-len(word)), bare units having length 0, with s the square
-    root of the Frobenius norm of phi's level 2, or 1 where that is 0 (for
-    k = d = 1 it is |phi(X^2)|).  Where the squares of level 2 pass the
-    float range, its norm is taken divided by its largest entry, then
-    multiplied back.  Entries pairing words of lengths j and l scale as
-    lambda^(j+l) under the dilation X -> lambda X, and s as lambda, so
-    S G S and its floor do not move with lambda.  Unitary conjugation in B
-    leaves the Frobenius norm, and so S G S's spectrum, as it is; the
-    entrywise max would move.  By Sylvester's law of inertia the exact
-    verdict is that of G.  The witness is mapped back through S, so its
-    quadratic_form is the value of G's own form at its coeffs.
+    S = diag(s^-len(word)), bare units having length 0, with s phi's
+    _graded_scale: the square root of the Frobenius norm of level 2.
+    Entries pairing words of lengths j and l scale as lambda^(j+l) under
+    the dilation X -> lambda X, and s as lambda, so S G S and its floor do
+    not move with lambda.  Unitary conjugation in B leaves the Frobenius
+    norm, and so S G S's spectrum, as it is; the entrywise max would move.
+    By Sylvester's law of inertia the exact verdict is that of G.  The
+    witness is mapped back through S, so its quadratic_form is the value of
+    G's own form at its coeffs.  The nc-function checks draw their points
+    at the same s.
     """
     mat, family = gram(phi, degree, no_free_term)
-    level2 = phi.raw(2)
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(level2)
-    if not np.isfinite(norm):
-        norm = cnorm(level2) * np.linalg.norm(level2 / cnorm(level2))
-    s = np.sqrt(norm) or 1.0
+    s = _graded_scale(phi.levels)
     lengths = np.array([len(w) if isinstance(w, tuple) else 0 for w in family], dtype=float)
     grade = np.repeat(s**-lengths, mat.shape[0] // len(family))
     mat *= grade[:, None]

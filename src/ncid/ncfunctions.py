@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import MAX_GENERATE_BYTES, AlgebraPair, block_matrix
+from .algebra import MAX_GENERATE_BYTES, AlgebraPair, _graded_scale, block_matrix
 from .cumulants import family_of
 from .distribution import MomentFunctional, _truncated, level_shape, seeded_rng
 from .errors import (
@@ -120,7 +120,7 @@ def _path_sum(level: np.ndarray, pair: AlgebraPair, coeff: np.ndarray) -> np.nda
     per point, one start row at a time; the first slot broadcasts the shared
     level over the points, so it is never copied.  No intermediate exceeds
     P * m * k2**(p-2) * d**2 entries: callers that batch many points split
-    them into groups that fit the byte budget (_worst).  Zero blocks drop
+    them into groups that fit the byte budget (_check).  Zero blocks drop
     their paths: a strict point sums strictly increasing paths, an upper
     triangular one with unit diagonal the non-decreasing ones.
     """
@@ -294,50 +294,49 @@ def _rel_err(lhs: np.ndarray, rhs: np.ndarray) -> list:
     return (top(lhs - rhs) / scale).tolist()
 
 
-def _worst(residuals, probes: int, m: int, pair: AlgebraPair, top: int, points: int = 1) -> float:
-    """The largest residual of the probes, residuals(group) giving those of
-    a slice of them, in the fewest groups whose arrays fit MAX_GENERATE_BYTES.
+def _check(identity, laws, order, need, seed, probes, tol, draw, residuals, prepare, points=1):
+    """Report of the check `identity` at `order`: the scaffold the four
+    checks share, each giving its draw and its residuals.
 
-    Each probe evaluates up to `points` points of size m, reading levels up
-    to `top`.  A point holds two path-sum intermediates of
-    m * k2**(top-2) * d**2 entries and, in a check, at most 2 m + 8 block
-    matrices of (m d)**2 entries (the Cauchy check's Laurent orders).  A
-    probe too large to share a group is evaluated alone, as every probe was
-    before the checks were batched.  A residual that is not finite makes
-    the result NaN, which _report refuses.
+    An order below 1, no probe, or a `need` past a law's truncation is
+    refused (OrderExceedsTruncation for the last).  prepare() then makes
+    the data the residuals read, over the pair of the points, and
+    draw(rng, s) draws every probe from the seed, s being the largest
+    _graded_scale of the laws, the certificate's.  A point of scale 1/s
+    keeps every compared value at its size under the dilation
+    X -> lambda X, so a residual is relative at every lambda.
+
+    The residual reported is the worst of residuals(data, drawn[group], s)
+    over the fewest groups of probes whose arrays fit MAX_GENERATE_BYTES;
+    one that is not finite is refused.  A probe evaluates up to `points`
+    points of size m = need + 1, reading `need` levels, each holding two
+    path-sum intermediates of m * k2**(need-2) * d**2 entries and at most
+    2 m + 8 block matrices of (m d)**2 entries (the Cauchy check's Laurent
+    orders).  A probe too large to share a group is evaluated alone.
     """
-    per = 16 * points * m * pair.d**2 * (2 * pair.k ** (2 * max(top - 2, 0)) + (2 * m + 8) * m)
-    size = max(1, MAX_GENERATE_BYTES // per)
-    errs = []
-    for start in range(0, probes, size):
-        errs += residuals(slice(start, start + size))
-    return max(errs) if np.isfinite(errs).all() else float("nan")
-
-
-def _require_order(what: str, order: int, need: int, stored: int, probes: int) -> None:
-    """A check probes points of size order + 1, which are zero below order 1,
-    reads `need` of the `stored` levels, and evaluates at least one probe."""
     if order < 1:
         raise DimensionMismatch(f"check order must be >= 1, got {order}")
     if probes < 1:
         raise DimensionMismatch(f"a check needs at least one probe, got {probes}")
+    stored = min(law.truncation for law in laws)
     if need > stored:
         raise OrderExceedsTruncation(
-            f"{what} check at order {order} needs truncation {need}, got {stored}"
+            f"{identity} check at order {order} needs truncation {need}, got {stored}"
         )
-
-
-def _report(identity: str, order: int, seed: int, probes: int, worst: float, tol: float):
-    if not np.isfinite(worst):
+    data = prepare()
+    s = max(_graded_scale(law.levels) for law in laws)
+    drawn = draw(seeded_rng(seed), s)
+    m, k2, d = need + 1, data.pair.k**2, data.pair.d
+    per = 16 * points * m * d**2 * (2 * k2 ** max(need - 2, 0) + (2 * m + 8) * m)
+    size = max(1, MAX_GENERATE_BYTES // per)
+    errs = []
+    for start in range(0, probes, size):
+        errs += residuals(data, drawn[start : start + size], s)
+    if not np.isfinite(errs).all():
         raise NCIDError(f"{identity} check at order {order}: a residual is not finite")
-    return {
-        "identity": identity,
-        "order": order,
-        "seed": seed,
-        "probes": probes,
-        "residual": worst,
-        "pass": worst <= tol,
-    }
+    worst = max(errs)
+    return {"identity": identity, "order": order, "seed": seed, "probes": probes,
+            "residual": worst, "pass": worst <= tol}
 
 
 def check_identity(
@@ -352,44 +351,40 @@ def check_identity(
     """Residual check of the transform functional equations on random points.
 
     B:  M_mu(b) - 1 = B_mu(b) M_mu(b)
-    R:  M_nu(b) - 1 = R_nu(b M_nu(b))
+    R:  M_mu(b) - 1 = R_mu(b M_mu(b))
     cR: (M_mu(b) - 1) M_nu(b) = M_mu(b) cR_{mu,nu}(b M_nu(b))
 
-    The points are drawn first, then evaluated together, one batch per
-    group of probes that fits the byte budget (see _worst).
+    nu is read for cR alone.  The points are drawn at scale 0.7 / s and
+    evaluated together, a batch per group of probes (see _check).
     """
     if name not in _SERIES:
         raise NCIDError(f"unknown identity {name!r}")
-    stored = mu.truncation if nu is None else min(mu.truncation, nu.truncation)
-    _require_order("identity", order, order, stored, probes)
-    pair = mu.pair
-    # recursion level p reads levels <= p; probes read <= order
-    data = _truncated(mu, order)
-    if name == "cR":
-        if nu is None:
-            raise NCIDError("identity cR needs the second functional")
-        data = data, _truncated(nu, order)
-    series = family_of(_SERIES[name], data).levels
-    m = order + 1
-    points = _random_entries(seeded_rng(seed), probes, m, pair.k, 0.7)
+    if name == "cR" and nu is None:
+        raise NCIDError("identity cR needs the second functional")
+    laws = (mu, nu) if name == "cR" else (mu,)
+    pair, m = mu.pair, order + 1
 
-    def residuals(group):
-        c = points[group]
+    def series():
+        # recursion level p reads levels <= p; probes read <= order
+        data = tuple(_truncated(law, order) for law in laws)
+        return family_of(_SERIES[name], data if name == "cR" else data[0])
+
+    def residuals(fam, c, s):
         mm = _series(mu.levels, pair, c, True)
         lhs = mm.copy()
         lhs[:, range(m), range(m)] -= np.eye(pair.d)
         if name == "B":
-            return _rel_err(lhs, _bprod(_series(series, pair, c, False), mm))
+            return _rel_err(lhs, _bprod(_series(fam.levels, pair, c, False), mm))
         mnu = mm if name == "R" else _series(nu.levels, pair, c, True)
         arg = _bprod(pair.embed_tensor(c), mnu)
         # each point's argument is pulled back on its own (NotBValued)
-        rhs = _series(series, pair, np.stack([pair.pullback_tensor(a) for a in arg]), False)
+        rhs = _series(fam.levels, pair, np.stack([pair.pullback_tensor(a) for a in arg]), False)
         if name == "cR":
             lhs, rhs = _bprod(lhs, mnu), _bprod(mm, rhs)
         return _rel_err(lhs, rhs)
 
-    worst = _worst(residuals, probes, m, pair, order)
-    return _report(name, order, seed, probes, worst, tol)
+    return _check(name, laws, order, order, seed, probes, tol,
+                  lambda rng, s: _random_entries(rng, probes, m, pair.k, 0.7 / s), residuals, series)
 
 
 def check_cauchy_relation(
@@ -405,17 +400,16 @@ def check_cauchy_relation(
     G = sum_s t^{s+1} G_s in t = 1/lambda, its inverse H as
     sum_r t^{r-1} H_r.  The boolean transform relation gives, order by
     order, delta_{r0} 1 - H_r G_0 = [B-series of (X (1-c)^{-1})^r].
-    Every step runs on all the points of a group of probes at once.
+    Every step runs on all the points of a group of probes at once.  Order
+    r reads X r times and (1-c)^{-1} has a unit diagonal, so t, not c,
+    carries the dilation: the points are drawn at scale 0.5, and order r is
+    compared divided by sc^r, sc the graded scale of _check.
     """
-    _require_order("relation", order, order, mu.truncation, probes)
     pair = mu.pair
     k, d = pair.k, pair.d
     m = order + 1
-    bstored = family_of("boolean", mu).levels
-    points = _random_entries(seeded_rng(seed), probes, m, k, 0.5)
 
-    def residuals(group):
-        c = points[group]
+    def residuals(bstored, c, sc):
         # p0 = (1 - c)^{-1} as an upper triangular element of M_m(B)
         p0 = np.zeros_like(c)
         p0[:, range(m), range(m)] = np.eye(k)
@@ -440,12 +434,13 @@ def check_cauchy_relation(
             lhs = -(hs[r] @ g0)
             if r == 0:
                 lhs = lhs + np.eye(m * d)
-            rhs = block_matrix(_path_sum(bstored[r], pair, p0)) if r else np.zeros_like(lhs)
-            errs += _rel_err(lhs, rhs)
+            rhs = block_matrix(_path_sum(bstored.levels[r], pair, p0)) if r else np.zeros_like(lhs)
+            errs += _rel_err(lhs / sc**r, rhs / sc**r)
         return errs
 
-    worst = _worst(residuals, probes, m, pair, order)
-    return _report("G", order, seed, probes, worst, tol)
+    return _check("G", (mu,), order, order, seed, probes, tol,
+                  lambda rng, s: _random_entries(rng, probes, m, k, 0.5), residuals,
+                  lambda: family_of("boolean", mu))
 
 
 def check_nc_function_axioms(
@@ -458,54 +453,54 @@ def check_nc_function_axioms(
     """Direct sums and similarities for the moment transform.
 
     Similarities use unipotent upper triangular scalar matrices, which keep
-    strictly upper arguments strictly upper.  Each probe draws its own
-    sizes, so the points of a group of probes are evaluated one batch per
-    size.
+    strictly upper arguments strictly upper; the points are drawn at scale
+    0.7 / s (see _check).  Each probe draws its own sizes, so the points of
+    a group of probes are evaluated one batch per size.
     """
-    # direct sums reach size 2 * order
-    _require_order("axioms", order, 2 * order - 1, mu.truncation, probes)
-    pair = mu.pair
-    k = pair.k
-    rng = seeded_rng(seed)
-    draws = []
-    for _ in range(probes):
-        m1 = int(rng.integers(1, order + 1))
-        m2 = int(rng.integers(1, order + 1))
-        b1, b2 = (_random_entries(rng, 1, n, k, 0.7)[0] for n in (m1, m2))
-        m = m1 + m2
-        b = _random_entries(rng, 1, m, k, 0.7)[0]
-        s = np.eye(m, dtype=complex)
-        z = rng.standard_normal((m * (m - 1) // 2, 2))
-        s[np.triu_indices(m, 1)] = z[:, 0] + 1j * z[:, 1]
-        draws.append((m1, b1, b2, b, s, np.linalg.inv(s)))
+    pair, k = mu.pair, mu.pair.k
 
-    def residuals(group):
+    def draw(rng, s):
+        draws = []
+        for _ in range(probes):
+            m1 = int(rng.integers(1, order + 1))
+            m2 = int(rng.integers(1, order + 1))
+            b1, b2 = (_random_entries(rng, 1, n, k, 0.7 / s)[0] for n in (m1, m2))
+            m = m1 + m2
+            b = _random_entries(rng, 1, m, k, 0.7 / s)[0]
+            sim = np.eye(m, dtype=complex)
+            z = rng.standard_normal((m * (m - 1) // 2, 2))
+            sim[np.triu_indices(m, 1)] = z[:, 0] + 1j * z[:, 1]
+            draws.append((m1, b1, b2, b, sim, np.linalg.inv(sim)))
+        return draws
+
+    def residuals(_, draws, s):
         # the five points of each probe, then M at all of them, one batch per size
         points = []
-        for m1, b1, b2, b, s, sinv in draws[group]:
-            direct = np.zeros((len(s), len(s), k, k), dtype=complex)
+        for m1, b1, b2, b, sim, sinv in draws:
+            direct = np.zeros((len(sim), len(sim), k, k), dtype=complex)
             direct[:m1, :m1] = b1
             direct[m1:, m1:] = b2
-            points += [direct, b1, b2, np.einsum("il,ljab,jp->ipab", s, b, sinv), b]
+            points += [direct, b1, b2, np.einsum("il,ljab,jp->ipab", sim, b, sinv), b]
         values = [None] * len(points)
         for size in {len(p) for p in points}:
             at = [i for i, p in enumerate(points) if len(p) == size]
             for i, value in zip(at, _series(mu.levels, pair, np.stack([points[i] for i in at]), True)):
                 values[i] = value
         errs = []
-        for n, (m1, b1, b2, b, s, sinv) in enumerate(draws[group]):
+        for n, (m1, b1, b2, b, sim, sinv) in enumerate(draws):
             got, top, bottom, conj, mb = values[5 * n : 5 * n + 5]
             want = np.zeros_like(got)
             want[:m1, :m1] = top
             want[m1:, m1:] = bottom
             errs += _rel_err(got[None], want[None])
-            want = np.einsum("il,ljab,jp->ipab", s, mb, sinv)
+            want = np.einsum("il,ljab,jp->ipab", sim, mb, sinv)
             errs += _rel_err(conj[None], want[None])
         return errs
 
-    # a probe's direct sum, similarity and b may all have the largest size
-    worst = _worst(residuals, probes, 2 * order, pair, 2 * order - 1, 3)
-    return _report("axioms", order, seed, probes, worst, tol)
+    # direct sums reach size 2 * order, which reads 2 * order - 1 levels; a
+    # probe's direct sum, similarity and b may all have that size
+    return _check("axioms", (mu,), order, 2 * order - 1, seed, probes, tol, draw, residuals,
+                  lambda: mu, points=3)
 
 
 def amplify_functional(mu: MomentFunctional, n: int, truncation: int) -> MomentFunctional:
@@ -552,22 +547,19 @@ def tensor_compatibility(
 ) -> dict:
     """Amplification compatibility: evaluating the transform of the
     n-amplified functional at m x m points agrees with evaluating the
-    original transform at the regrouped (mn) x (mn) point.  The points of
-    a group of probes are evaluated together."""
-    _require_order("tensor", order, order, mu.truncation, probes)
-    pair = mu.pair
-    k = pair.k
-    amp = amplify_functional(mu, n, order)
+    original transform at the regrouped (mn) x (mn) point.  The points are
+    drawn at scale 0.6 / s (see _check), and those of a group of probes are
+    evaluated together."""
+    k = mu.pair.k
     m = order + 1
-    points = _random_entries(seeded_rng(seed), probes, m, n * k, 0.6)
 
-    def residuals(group):
-        big = points[group]
+    def residuals(amp, big, s):
         small = big.reshape(-1, m, m, n, k, n, k).transpose(0, 1, 3, 2, 5, 4, 6)
         small = small.reshape(-1, m * n, m * n, k, k)
         got = block_matrix(_series(amp.levels, amp.pair, big, True))
-        want = block_matrix(_series(mu.levels, pair, small, True))
+        want = block_matrix(_series(mu.levels, mu.pair, small, True))
         return _rel_err(got, want)
 
-    worst = _worst(residuals, probes, m, amp.pair, order)
-    return _report("tensor", order, seed, probes, worst, tol)
+    return _check("tensor", (mu,), order, order, seed, probes, tol,
+                  lambda rng, s: _random_entries(rng, probes, m, n * k, 0.6 / s), residuals,
+                  lambda: amplify_functional(mu, n, order))

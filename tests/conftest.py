@@ -203,7 +203,8 @@ def mu24(pair24) -> MomentFunctional:
 
 
 # Per-probe references for the batched nilpotent-point code: the kernel, the
-# point draw and the identity checks as they ran one point at a time.
+# point draw and the identity checks as they ran one point at a time, each
+# check drawing and grading at the scale s of its laws.
 
 
 def random_point_by_blocks(rng, m: int, k: int, scale: float) -> np.ndarray:
@@ -256,17 +257,24 @@ def _point_err(lhs, rhs) -> float:
     return float(np.abs(lhs - rhs).max(initial=0.0)) / scale
 
 
+def graded_scale_by_norm(*laws) -> float:
+    """The largest scale s of the laws at which the checks draw: the square
+    root of the Frobenius norm of level 2, or 1 where that is 0."""
+    return max(float(np.sqrt(np.linalg.norm(law.raw(2)))) or 1.0 for law in laws)
+
+
 def _report(identity, order, seed, probes, worst, tol):
     return {"identity": identity, "order": order, "seed": seed, "probes": probes,
             "residual": worst, "pass": worst <= tol}
 
 
 def check_identity_by_point(name, mu, nu=None, order=4, seed=0, probes=50, tol=1e-10):
-    """check_identity, one probe at a time."""
+    """check_identity, one probe at a time, at points of scale 0.7 / s."""
     from ncid.cumulants import family_of
     from ncid.distribution import _truncated, seeded_rng
 
     pair = mu.pair
+    s = graded_scale_by_norm(mu, nu) if name == "cR" else graded_scale_by_norm(mu)
     data = _truncated(mu, order)
     if name == "cR":
         data = data, _truncated(nu, order)
@@ -275,7 +283,7 @@ def check_identity_by_point(name, mu, nu=None, order=4, seed=0, probes=50, tol=1
     m = order + 1
     worst = 0.0
     for _ in range(probes):
-        point = random_point_by_blocks(rng, m, pair.k, 0.7)
+        point = random_point_by_blocks(rng, m, pair.k, 0.7 / s)
         mm = series_by_point(mu.levels, pair, point, True)
         lhs = mm.copy()
         for i in range(m):
@@ -293,11 +301,13 @@ def check_identity_by_point(name, mu, nu=None, order=4, seed=0, probes=50, tol=1
 
 
 def check_cauchy_relation_by_point(mu, order=4, seed=0, probes=10, tol=1e-9):
-    """check_cauchy_relation, one probe at a time."""
+    """check_cauchy_relation, one probe at a time, Laurent order r divided
+    by s**r."""
     from ncid.cumulants import family_of
     from ncid.distribution import seeded_rng
 
     pair = mu.pair
+    s = graded_scale_by_norm(mu)
     k, d = pair.k, pair.d
     rng = seeded_rng(seed)
     m = order + 1
@@ -315,37 +325,38 @@ def check_cauchy_relation_by_point(mu, order=4, seed=0, probes=10, tol=1e-9):
         ep0 = pair.embed_tensor(p0)
         g0 = block_matrix(ep0)
         gs = [g0]
-        for s in range(1, order + 1):
-            gs.append(block_matrix(_bprod(ep0, path_sum_by_point(mu.levels[s], pair, p0))))
+        for q in range(1, order + 1):
+            gs.append(block_matrix(_bprod(ep0, path_sum_by_point(mu.levels[q], pair, p0))))
         h0 = np.linalg.inv(g0)
         hs = [h0]
         for r in range(1, order + 1):
             acc = np.zeros_like(h0)
-            for s in range(1, r + 1):
-                acc = acc + hs[r - s] @ gs[s]
+            for q in range(1, r + 1):
+                acc = acc + hs[r - q] @ gs[q]
             hs.append(-(acc @ h0))
         for r in range(order + 1):
             lhs = -(hs[r] @ g0)
             if r == 0:
                 lhs = lhs + np.eye(m * d)
             rhs = block_matrix(path_sum_by_point(bstored[r], pair, p0)) if r else np.zeros_like(lhs)
-            worst = max(worst, _point_err(lhs, rhs))
+            worst = max(worst, _point_err(lhs / s**r, rhs / s**r))
     return _report("G", order, seed, probes, worst, tol)
 
 
 def check_nc_function_axioms_by_point(mu, order=3, seed=0, probes=20, tol=1e-10):
-    """check_nc_function_axioms, one probe at a time."""
+    """check_nc_function_axioms, one probe at a time, at points of scale 0.7 / s."""
     from ncid.distribution import seeded_rng
 
     pair = mu.pair
+    s = graded_scale_by_norm(mu)
     k, d = pair.k, pair.d
     rng = seeded_rng(seed)
     worst = 0.0
     for _ in range(probes):
         m1 = int(rng.integers(1, order + 1))
         m2 = int(rng.integers(1, order + 1))
-        b1 = random_point_by_blocks(rng, m1, k, 0.7)
-        b2 = random_point_by_blocks(rng, m2, k, 0.7)
+        b1 = random_point_by_blocks(rng, m1, k, 0.7 / s)
+        b2 = random_point_by_blocks(rng, m2, k, 0.7 / s)
         m = m1 + m2
         direct = np.zeros((m, m, k, k), dtype=complex)
         direct[:m1, :m1] = b1
@@ -356,31 +367,32 @@ def check_nc_function_axioms_by_point(mu, order=3, seed=0, probes=20, tol=1e-10)
         want[m1:, m1:] = series_by_point(mu.levels, pair, b2, True)
         worst = max(worst, _point_err(got, want))
 
-        b = random_point_by_blocks(rng, m, k, 0.7)
-        s = np.eye(m, dtype=complex)
+        b = random_point_by_blocks(rng, m, k, 0.7 / s)
+        sim = np.eye(m, dtype=complex)
         for i in range(m):
             for j in range(i + 1, m):
-                s[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
-        sinv = np.linalg.inv(s)
-        conj = np.einsum("il,ljab,jp->ipab", s, b, sinv)
+                sim[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
+        sinv = np.linalg.inv(sim)
+        conj = np.einsum("il,ljab,jp->ipab", sim, b, sinv)
         got = series_by_point(mu.levels, pair, conj, True)
-        want = np.einsum("il,ljab,jp->ipab", s, series_by_point(mu.levels, pair, b, True), sinv)
+        want = np.einsum("il,ljab,jp->ipab", sim, series_by_point(mu.levels, pair, b, True), sinv)
         worst = max(worst, _point_err(got, want))
     return _report("axioms", order, seed, probes, worst, tol)
 
 
 def tensor_compatibility_by_point(mu, n, order=3, seed=0, probes=10, tol=1e-10):
-    """tensor_compatibility, one probe at a time."""
+    """tensor_compatibility, one probe at a time, at points of scale 0.6 / s."""
     from ncid.distribution import seeded_rng
     from ncid.ncfunctions import amplify_functional
 
     k = mu.pair.k
+    s = graded_scale_by_norm(mu)
     amp = amplify_functional(mu, n, order)
     rng = seeded_rng(seed)
     m = order + 1
     worst = 0.0
     for _ in range(probes):
-        big = random_point_by_blocks(rng, m, n * k, 0.6)
+        big = random_point_by_blocks(rng, m, n * k, 0.6 / s)
         small = big.reshape(m, m, n, k, n, k).transpose(0, 2, 1, 4, 3, 5)
         small = small.reshape(m * n, m * n, k, k)
         got = block_matrix(series_by_point(amp.levels, amp.pair, big, True))

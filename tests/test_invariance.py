@@ -20,10 +20,16 @@ largest entry.
 The free and c-free Fock models of Levy-Hincin data give back the laws of
 the data's families, and the n-th root model of each kind the moments of
 convolution.root, to the same tolerance as the boolean models.
+
+The mutation gate: a relative error of 1e-6 planted in one level of a
+family fails the matching identity check, the Cauchy relation for a
+boolean plant, and the functional-equation comparison, on laws dilated by
+1e-3, 1 and 1e3.  So these tests can see a wrong cumulant kernel.
 """
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +54,16 @@ from ncid.fock import (
     free_root_model,
     model_moment,
 )
-from ncid.ncfunctions import NilpotentPoint, eval_B, eval_cR, eval_R, eval_series
+from ncid import ncfunctions
+from ncid.ncfunctions import (
+    NilpotentPoint,
+    check_cauchy_relation,
+    check_identity,
+    eval_B,
+    eval_cR,
+    eval_R,
+    eval_series,
+)
 
 from conftest import (
     bvalued_realizable,
@@ -56,6 +71,7 @@ from conftest import (
     conjugate,
     dilate,
     free_levy_hincin_data,
+    graded_scale_by_norm,
 )
 
 # (k, d, largest truncation)
@@ -196,18 +212,70 @@ def test_root_then_convolve_gives_back_the_data(case):
                 assert level_err(got.levels, want.levels, s) <= TOL, (kind, n)
 
 
+def transforms(mu, nu):
+    """(kind, data, transform at a point) of each kind: eval_B, eval_R and
+    eval_cR, which solve the functional equations from M alone."""
+    return (
+        ("boolean", mu, lambda point: eval_B(mu, point)),
+        ("free", nu, lambda point: eval_R(nu, point)),
+        ("cfree", (mu, nu), lambda point: eval_cR(mu, nu, point)),
+    )
+
+
+def transform_gap(transform, levels, pair, point) -> float:
+    """Largest entry of transform(point) minus the series of the family's
+    levels at the point, over the largest entry of that series."""
+    want = eval_series(levels, pair, point, False)
+    return np.abs(transform(point) - want).max() / np.abs(want).max()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(laws(), st.integers(0, 10**6))
 def test_functional_equations_match_the_recursions(case, seed):
     mu, nu, _ = case
     rng = np.random.default_rng(seed)
-    for kind, data, transform in (
-        ("boolean", mu, lambda point: eval_B(mu, point)),
-        ("free", nu, lambda point: eval_R(nu, point)),
-        ("cfree", (mu, nu), lambda point: eval_cR(mu, nu, point)),
-    ):
+    for kind, data, transform in transforms(mu, nu):
         levels = family_of(kind, data).levels
         for m in (3, mu.truncation):
             point = NilpotentPoint.random(rng, m, mu.pair.k)
-            want = eval_series(levels, mu.pair, point, False)
-            assert np.abs(transform(point) - want).max() <= TOL * np.abs(want).max(), (kind, m)
+            assert transform_gap(transform, levels, mu.pair, point) <= TOL, (kind, m)
+
+
+PLANT = 1e-6
+GATE_ORDER = 4
+
+
+def planted(fam: CumulantFamily, n: int) -> CumulantFamily:
+    """fam with a relative error of PLANT in its level n."""
+    return CumulantFamily(fam.kind, fam.pair, fam.truncation,
+                          {**fam.levels, n: fam.levels[n] * (1 + PLANT)})
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+def test_a_planted_error_fails_the_checks_at_every_scale(monkeypatch, lam):
+    # A wrong level 2..GATE_ORDER of one kind's family fails that kind's
+    # identity check (and, for boolean, the Cauchy relation), and the
+    # functional-equation comparison above, for a law dilated by lam.
+    # The points of the comparison are drawn at scale 1 / s, as the checks'.
+    pair = AlgebraPair.identity(2)
+    mu = dilate(generate_realizable(5, pair, GATE_ORDER, ambient=4), lam)
+    nu = dilate(bvalued_realizable(6, pair, GATE_ORDER), lam)
+    s = graded_scale_by_norm(mu, nu)
+    rng = np.random.default_rng(7)
+    checks = {
+        "boolean": [lambda: check_identity("B", mu, order=GATE_ORDER),
+                    lambda: check_cauchy_relation(mu, order=GATE_ORDER)],
+        "free": [lambda: check_identity("R", nu, order=GATE_ORDER)],
+        "cfree": [lambda: check_identity("cR", mu, nu, order=GATE_ORDER)],
+    }
+    for kind, data, transform in transforms(mu, nu):
+        for n in range(2, GATE_ORDER + 1):
+            with monkeypatch.context() as mp:
+                mp.setattr(ncfunctions, "family_of", lambda k, d: (
+                    planted(family_of(k, d), n) if k == kind else family_of(k, d)))
+                for check in checks[kind]:
+                    report = check()
+                    assert not report["pass"], (kind, n, report)
+            levels = planted(family_of(kind, data), n).levels
+            point = NilpotentPoint.random(rng, GATE_ORDER + 1, pair.k, scale=1 / s)
+            assert transform_gap(transform, levels, pair, point) > TOL, (kind, n)

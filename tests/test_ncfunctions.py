@@ -38,6 +38,7 @@ from ncid.ncfunctions import (
 from conftest import (
     OVERFLOW_MOMENTS,
     bvalued_realizable,
+    dilate,
     check_cauchy_relation_by_point,
     check_identity_by_point,
     check_nc_function_axioms_by_point,
@@ -213,6 +214,40 @@ def test_identity_input_validation(mu22):
         check_identity("cR", mu22)
     with pytest.raises(OrderExceedsTruncation):
         check_identity("B", mu22, order=7)
+
+
+def test_b_and_r_checks_do_not_read_nu(mu22, nu22):
+    # nu is read by cR alone: a short, dilated nu neither refuses B or R
+    # nor moves their reports through its truncation or its scale
+    short = dilate(_cut(nu22, 3), 1e3)
+    for name in ("B", "R"):
+        assert check_identity(name, mu22, short, order=5, probes=10) == check_identity(
+            name, mu22, order=5, probes=10)
+    with pytest.raises(OrderExceedsTruncation, match="cR check at order 5 needs truncation 5"):
+        check_identity("cR", mu22, short, order=5)
+
+
+# how far a check's clean residual may move under dilation, either way
+DILATION_FACTOR = 100
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e4])
+def test_check_residuals_stay_put_under_dilation(mu22, nu22, lam):
+    # the points are drawn at the laws' graded scale (G grades its Laurent
+    # orders), so a dilated law's residuals are rounding of the same size:
+    # within DILATION_FACTOR of lam = 1 either way, not lam**2 times smaller
+    def residuals(mu, nu):
+        return {
+            "B": check_identity("B", mu, order=4, probes=10)["residual"],
+            "R": check_identity("R", nu, order=4, probes=10)["residual"],
+            "cR": check_identity("cR", mu, nu, order=4, probes=10)["residual"],
+            "G": check_cauchy_relation(mu, order=4, probes=10)["residual"],
+        }
+
+    base = residuals(mu22, nu22)
+    got = residuals(dilate(mu22, lam), dilate(nu22, lam))
+    for name, r in got.items():
+        assert base[name] / DILATION_FACTOR <= r <= base[name] * DILATION_FACTOR, (name, r, base)
 
 
 @pytest.mark.parametrize("probes", [0, -3])

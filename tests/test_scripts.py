@@ -122,6 +122,8 @@ def test_lib_digest_smoke():
             "check G of mu at order 4, seed 0",
             "check axioms of mu at order 2, seed 1",
             "check tensor of mu at order 3, seed 0",
+            "check cR of (mu_c, nu), dilated by 0.001 at order 2, seed 1",
+            "check G of mu, dilated by 1000 at order 4, seed 0",
         ):
             assert f"(k, d) = {pair}: {step}" in digests
     # the digests are of the outputs: a model's depth, and the empty word
