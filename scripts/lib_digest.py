@@ -19,9 +19,14 @@ mu_c over nu.  From them it digests:
 - the report of every identity check at orders 1 to 4 and seeds 0 and 1:
   check_identity B of mu, R of nu and of mu, cR of (mu_c, nu),
   check_cauchy_relation, check_nc_function_axioms and tensor_compatibility
-  (n = 2) of mu; then the same reports with every law dilated by 1e-3 and
-  by 1e3 (X -> lambda X), whose residuals the checks grade by the laws'
-  scale.
+  (n = 2) of mu;
+- the transforms at three seeded points, a full chain of size --trunc + 1,
+  a superdiagonal probe of that size and a direct sum of chains of
+  different lengths: eval_M and eval_B of mu, eval_R of nu and of mu (over
+  (2, 4) a refusal, mu being D-valued) and eval_cR of (mu_c, nu);
+
+then the same reports and transforms with every law dilated by 1e-3 and by
+1e3 (X -> lambda X), whose residuals the checks grade by the laws' scale.
 
 After the pairs come the boolean certificates at degrees 2 and 3 of the
 scalar law with moments (0, 1e300, 0, 2e300, 0, 5e300), whose level 2
@@ -173,6 +178,7 @@ def outputs(k: int, d: int, trunc: int):
             yield f"{kind} reconstruct at a {m} x {m} point", cert.levy_hincin_reconstruct, (
                 kind, alpha, sigma, point)
 
+    points = transform_points(np.random.default_rng(1000 * k + d), k, trunc)
     for lam, dilated in ((1, ""), (1e-3, ", dilated by 0.001"), (1e3, ", dilated by 1000")):
         mu_l, nu_l, mu_c_l = (dilate(law, lam) for law in (mu, nu, mu_c))
         checks = (
@@ -189,6 +195,35 @@ def outputs(k: int, d: int, trunc: int):
                 for seed in (0, 1):
                     yield f"{label}{dilated} at order {order}, seed {seed}", functools.partial(
                         check, order=order, seed=seed), check_args
+        transforms = (
+            ("eval_M of mu", ncf.eval_M, (mu_l,)),
+            ("eval_B of mu", ncf.eval_B, (mu_l,)),
+            ("eval_R of nu", ncf.eval_R, (nu_l,)),
+            ("eval_R of mu", ncf.eval_R, (mu_l,)),
+            ("eval_cR of (mu_c, nu)", ncf.eval_cR, (mu_c_l, nu_l)),
+        )
+        for label, transform, law_args in transforms:
+            for name, point in points.items():
+                yield f"{label}{dilated} at the {name}", transform, (*law_args, point)
+
+
+def transform_points(rng, k, trunc):
+    """Entries of the points the transforms are digested at, each reading
+    up to `trunc` levels."""
+    def blocks(*shape):
+        shape += (k, k)
+        return 0.7 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def upper(m):
+        return blocks(m, m) * np.triu(np.ones((m, m)), 1)[:, :, None, None]
+
+    m = trunc + 1
+    superdiagonal = np.zeros((m, m, k, k), dtype=complex)
+    superdiagonal[range(m - 1), range(1, m)] = blocks(m - 1)
+    direct = np.zeros((m, m, k, k), dtype=complex)
+    direct[:2, :2], direct[2:, 2:] = upper(2), upper(m - 2)
+    return {"full chain": upper(m), "superdiagonal probe": superdiagonal,
+            "direct sum": direct}
 
 
 def dilate(law, lam):

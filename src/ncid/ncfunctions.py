@@ -165,15 +165,17 @@ def _support_chain(entries: np.ndarray, stored: int) -> int:
     return longest
 
 
-def _series(levels: dict, pair: AlgebraPair, entries: np.ndarray, include_identity: bool):
+def _series(levels: dict, pair: AlgebraPair, entries: np.ndarray, include_identity: bool, cap=None):
     """eval_series at each of a (P, m, m, k, k) stack of points: P block
     matrices (P, m, m, d, d), the sum running to the longest chain of any
-    point (the longer paths of the other points are exactly zero)."""
+    point (the longer paths of the other points are exactly zero), or to
+    level `cap` if less: a capped sum skips the check against the stored levels."""
     count, m = entries.shape[:2]
     out = np.zeros((count, m, m, pair.d, pair.d), dtype=complex)
     if include_identity:
         out[:, range(m), range(m)] = np.eye(pair.d)
-    for p in range(1, _support_chain(entries, max(levels) if levels else 0) + 1):
+    longest = _support_chain(entries, m if cap else max(levels, default=0))
+    for p in range(1, min(longest, cap or m) + 1):
         out += _path_sum(levels[p], pair, entries)
     return out
 
@@ -220,15 +222,19 @@ def _subordinate(nu: MomentFunctional, point):
     The levels the point reads are pulled back into B first (NotBValued).
     b <- c M_nu(b)^(-1) = c (1 - B_nu(b)) starts right to first order in c
     and fixes one more order per step; products of more than `longest`
-    factors of c vanish, so longest - 1 steps give the exact b.
+    factors of c vanish, so longest - 1 steps give the exact b.  Step i
+    leaves b exact to order i + 1, so it reads M_nu(b) to order i: levels
+    1..i, as b is c plus higher orders.  The dropped levels add exact zeros
+    to every block that step makes exact, so b keeps the bits of full steps.
     """
     entries = _point_entries(point, nu.pair.k)
     longest = _support_chain(entries, nu.truncation)
     inner = AlgebraPair.identity(nu.pair.k)
     levels = {p: nu.pair.pullback_tensor(nu.levels[p]) for p in range(1, longest + 1)}
     b = entries
-    for _ in range(longest - 1):
-        b = entries - _bprod(entries, _one_minus_inverse(eval_series(levels, inner, b, True)))
+    for order in range(1, longest):
+        mb = _series(levels, inner, b[None], True, cap=order)[0]
+        b = entries - _bprod(entries, _one_minus_inverse(mb))
     return b, eval_series(levels, inner, b, False)
 
 

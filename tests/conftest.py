@@ -252,6 +252,20 @@ def _bprod(a, b):
     return np.einsum("ilab,ljbc->ijac", a, b)
 
 
+def subordinate_by_full_series(nu, entries):
+    """b with b M_nu(b) = c, and M_nu(b) - 1, by longest - 1 fixed-point
+    steps that each sum every level the point reads."""
+    from ncid.ncfunctions import _bprod, _one_minus_inverse, _support_chain, eval_series
+
+    longest = _support_chain(entries, nu.truncation)
+    inner = AlgebraPair.identity(nu.pair.k)
+    levels = {p: nu.pair.pullback_tensor(nu.levels[p]) for p in range(1, longest + 1)}
+    b = entries
+    for _ in range(longest - 1):
+        b = entries - _bprod(entries, _one_minus_inverse(eval_series(levels, inner, b, True)))
+    return b, eval_series(levels, inner, b, False)
+
+
 def _point_err(lhs, rhs) -> float:
     scale = max(1.0, float(np.abs(lhs).max(initial=0.0)), float(np.abs(rhs).max(initial=0.0)))
     return float(np.abs(lhs - rhs).max(initial=0.0)) / scale

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from time import perf_counter
 
 import numpy as np
@@ -46,6 +47,7 @@ from conftest import (
     random_point_by_blocks,
     relerr,
     series_by_point,
+    subordinate_by_full_series,
     tensor_compatibility_by_point,
 )
 
@@ -436,6 +438,90 @@ def test_transform_errors(mu22, nu22, mu24, pair24):
     assert eval_cR(mu24, nu24, probe).shape == (3, 3, 4, 4)
     with pytest.raises(PairMismatch):
         eval_cR(mu22, nu24, probe)
+
+
+# (k, d, truncation) of the laws whose free and c-free transforms are
+# compared byte for byte with the fixed point of full series steps
+SUBORDINATION_CASES = {"k1": (1, 1, 12), "k2": (2, 2, 8), "k2d4": (2, 4, 6)}
+
+
+def _subordination_points(rng, k: int, trunc: int) -> dict:
+    """Points of every support shape the fixed point meets: a full chain
+    reading all `trunc` levels, a superdiagonal probe, a zero row, a direct
+    sum of chains of different lengths, a sparse support, and sizes 1 and 2
+    (no step and one step)."""
+    def full(m):
+        return NilpotentPoint.random(rng, m, k, scale=0.7).entries
+
+    holed, sparse = full(trunc + 1), full(trunc + 1)
+    holed[trunc // 2] = 0
+    sparse[rng.random((trunc + 1, trunc + 1)) < 0.5] = 0
+    direct = np.zeros((trunc + 2, trunc + 2, k, k), dtype=complex)
+    direct[:2, :2], direct[2:, 2:] = full(2), full(trunc)
+    return {
+        "full chain": full(trunc + 1),
+        "superdiagonal": triangular_probe(rand_coeffs(trunc, k, trunc)).entries,
+        "zero row": holed,
+        "direct sum": direct,
+        "sparse": sparse,
+        "size 1": full(1),
+        "size 2": full(2),
+    }
+
+
+@pytest.fixture(scope="module", params=sorted(SUBORDINATION_CASES))
+def subordination_case(request):
+    """A law, a B-valued law and the points, at one (k, d, truncation)."""
+    k, d, trunc = SUBORDINATION_CASES[request.param]
+    pair = AlgebraPair.identity(k) if k == d else AlgebraPair.block_diagonal(k, d)
+    mu = generate_realizable(41, pair, trunc, ambient=2 * d)
+    nu = bvalued_realizable(42, pair, trunc)
+    return mu, nu, _subordination_points(np.random.default_rng(trunc), k, trunc)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-3, 1e3])
+def test_order_cut_fixed_point_keeps_the_bytes_of_full_steps(subordination_case, lam):
+    mu, nu, points = subordination_case
+    mu, nu = dilate(mu, lam), dilate(nu, lam)
+    for name, entries in points.items():
+        b, r = subordinate_by_full_series(nu, entries)
+        want_r = nu.pair.embed_tensor(r)
+        bmu = ncfunctions._one_minus_inverse(eval_series(mu.levels, mu.pair, b, True))
+        want_cr = bmu + ncfunctions._bprod(bmu, want_r)
+        assert eval_R(nu, entries).tobytes() == want_r.tobytes(), name
+        assert eval_cR(mu, nu, entries).tobytes() == want_cr.tobytes(), name
+
+
+def test_order_cut_fixed_point_refuses_a_d_valued_law_as_before(mu24):
+    points = _subordination_points(np.random.default_rng(6), 2, 6)
+    for name, entries in points.items():
+        if name == "size 1":  # reads no level, so no law is refused
+            continue
+        with pytest.raises(NotBValued) as want:
+            subordinate_by_full_series(mu24, entries)
+        for evaluate in (lambda e: eval_R(mu24, e), lambda e: eval_cR(mu24, mu24, e)):
+            with pytest.raises(NotBValued) as got:
+                evaluate(entries)
+            assert str(got.value) == str(want.value), name
+
+
+@pytest.mark.parametrize("m, calls, summed", [(10, 45, 165), (12, 66, 286)])
+def test_eval_r_sums_each_level_only_in_the_steps_it_can_change(monkeypatch, law_k1, m, calls,
+                                                                summed):
+    # Full series steps would read 81 and 121 path sums of 405 and 726
+    # levels in all at these sizes.
+    levels = []
+    path_sum = ncfunctions._path_sum
+
+    def counted(level, pair, coeff):
+        levels.append(level.ndim - 1)
+        return path_sum(level, pair, coeff)
+
+    monkeypatch.setattr(ncfunctions, "_path_sum", counted)
+    eval_R(law_k1, NilpotentPoint.random(np.random.default_rng(m), m, 1))
+    # step i sums levels 1..i for i < m - 1, the last series levels 1..m - 1
+    assert Counter(levels) == {p: m - p for p in range(1, m)}
+    assert (len(levels), sum(levels)) == (calls, summed)
 
 
 def test_identity_reports_read_only_order_levels(law_k1):

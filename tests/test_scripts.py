@@ -124,6 +124,11 @@ def test_lib_digest_smoke():
             "check tensor of mu at order 3, seed 0",
             "check cR of (mu_c, nu), dilated by 0.001 at order 2, seed 1",
             "check G of mu, dilated by 1000 at order 4, seed 0",
+            "eval_M of mu at the direct sum",
+            "eval_B of mu, dilated by 0.001 at the superdiagonal probe",
+            "eval_R of nu at the full chain",
+            "eval_R of mu, dilated by 1000 at the direct sum",
+            "eval_cR of (mu_c, nu), dilated by 1000 at the full chain",
         ):
             assert f"(k, d) = {pair}: {step}" in digests
     # the digests are of the outputs: a model's depth, and the empty word
@@ -137,6 +142,22 @@ def test_lib_digest_smoke():
     # a check that raises is digested as its error
     assert digests["(k, d) = (2, 2): check axioms of mu at order 3, seed 0"] == script.digest(
         "OrderExceedsTruncation: axioms check at order 3 needs truncation 5, got 4")
+    # a transform is digested at the script's points, a refusal as its error
+    from ncid.algebra import AlgebraPair
+    from ncid.distribution import generate_realizable
+    from ncid.errors import NotBValued
+    from ncid.ncfunctions import eval_M, eval_R
+
+    point = script.transform_points(np.random.default_rng(2002), 2, 4)["full chain"]
+    mu = generate_realizable(7, AlgebraPair.identity(2), 4, ambient=4)
+    assert digests["(k, d) = (2, 2): eval_M of mu at the full chain"] == script.digest(
+        eval_M(mu, point))
+    point = script.transform_points(np.random.default_rng(2004), 2, 4)["full chain"]
+    mu = generate_realizable(7, AlgebraPair.block_diagonal(2, 4), 4, ambient=8)
+    with pytest.raises(NotBValued) as refused:
+        eval_R(mu, point)
+    assert digests["(k, d) = (2, 4): eval_R of mu at the full chain"] == script.digest(
+        f"NotBValued: {refused.value}")
     # after the pairs, the overflow law's boolean certificates, which fail
     from ncid.certify import certify
     from ncid.distribution import scalar_from_moments
